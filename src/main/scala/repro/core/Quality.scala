@@ -39,10 +39,12 @@ object Quality {
   def finishProb(j: Int, s: ExecutedSet, k: Int, extra: Int = -1): Double = {
     val m = s.m
     if (s.contains(j) || j == extra) 1.0 / m
+    else if (s.isEmpty && extra < 0) 0.0
     else {
-      val nn = s.knn(j, k, extra)
-      if (nn.isEmpty && extra < 0) 0.0
-      else (1.0 - errRatio(j, nn, k, m)) / m
+      // Every partial sum is an integer below 2^53, so this equals
+      // `(1 - errRatio(j, s.knn(j, k, extra), k, m)) / m` bit for bit.
+      val sum = s.knnDistSum(j, k, extra)
+      (1.0 - sum.toDouble / (k.toDouble * m)) / m
     }
   }
 

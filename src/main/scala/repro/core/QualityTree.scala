@@ -5,12 +5,15 @@ import scala.collection.mutable.ArrayBuffer
 /** Tree-structured approximation of the 1-D order-k Voronoi diagram
   * (Section III-C, Fig 3 (d)-(e)).
   *
-  * Each node covers a slot segment [l, r] and stores the paper's quadruple:
-  *  - `kSet`:  union of k-NN results over the segment (the "k-set");
+  * Each node covers a slot segment [l, r] and stores three of the paper's
+  * quadruple ⟨k-set, knn(l), knn(r), q'⟩:
   *  - `knnL` / `knnR`: k-NN results of the two end slots, ascending by
   *    distance, so the k-th distance `kmax(l)` / `kmax(r)` is O(1);
   *  - `qSum`:  the partial quality q' — the sum of `-p·log2 p` over the
   *    segment's slots.
+  * The k-set (union of k-NN results over the segment) is not stored: no
+  * query or update reads it, and it is the union of the leaves' `knnL` and
+  * `knnR` below the node.
   *
   * Splitting stops when (Condition 1) `knnL == knnR` — by Lemma 8 the whole
   * segment then lies in one order-k Voronoi cell — or (Condition 2) the
@@ -30,7 +33,6 @@ final class QualityTree(val m: Int, val k: Int, val ts: Int) {
   final class Node(val l: Int, val r: Int) {
     var knnL: IndexedSeq[Int] = IndexedSeq.empty
     var knnR: IndexedSeq[Int] = IndexedSeq.empty
-    var kSet: Set[Int] = Set.empty
     var qSum: Double = 0.0
     var left: Node = null
     var right: Node = null
@@ -73,7 +75,6 @@ final class QualityTree(val m: Int, val k: Int, val ts: Int) {
     n.knnR = exec.knn(r, k)
     val sameCell = n.knnL == n.knnR // Condition 1 (Lemma 8)
     if (sameCell || n.len <= ts) {  // Condition 2 (t_s knob)
-      n.kSet = (n.knnL ++ n.knnR).toSet
       var q = 0.0
       var j = l
       while (j <= r) { q += slotContribution(j); j += 1 }
@@ -82,7 +83,6 @@ final class QualityTree(val m: Int, val k: Int, val ts: Int) {
       val mid = (l + r) >>> 1
       n.left = build(l, mid)
       n.right = build(mid + 1, r)
-      n.kSet = n.left.kSet ++ n.right.kSet
       n.qSum = n.left.qSum + n.right.qSum
     }
     n
@@ -110,7 +110,6 @@ final class QualityTree(val m: Int, val k: Int, val ts: Int) {
       n.right = refresh(n.right, t)
       n.knnL = exec.knn(n.l, k)
       n.knnR = exec.knn(n.r, k)
-      n.kSet = n.left.kSet ++ n.right.kSet
       n.qSum = n.left.qSum + n.right.qSum
       n
     }

@@ -21,6 +21,51 @@ class ExecutedSetSpec extends AnyFunSuite {
     (m, rnd.shuffle((0 until m).toList).take(n).sorted)
   }
 
+  /** (m, executed slots, k): seeded random sets plus the degenerate shapes —
+    * an empty set, fewer than k executed, and m < k.
+    */
+  private val kernelCases: Seq[(Int, List[Int], Int)] = {
+    val rnd = new Random(4)
+    val random = Seq.fill(120) {
+      val (m, slots) = randomCase(rnd)
+      (m, slots, 1 + rnd.nextInt(5))
+    }
+    random ++ Seq(
+      (10, Nil, 3), (10, List(4), 3), (10, List(2, 7), 3),
+      (2, Nil, 3), (2, List(1), 3), (2, List(0, 1), 3), (1, List(0), 2))
+  }
+
+  /** Brute-force Eq 3 numerator: neighbour distances plus m per phantom. */
+  private def bruteDistSum(m: Int, slots: Seq[Int], j: Int, k: Int, extra: Int): Long = {
+    val nn = bruteKnn(slots, j, k, extra)
+    nn.map(e => math.abs(e - j).toLong).sum + (k - nn.length).toLong * m
+  }
+
+  /** `Quality.finishProb` as it was computed from the neighbour list. */
+  private def finishProbFromKnn(j: Int, s: ExecutedSet, k: Int, extra: Int): Double =
+    if (s.contains(j) || j == extra) 1.0 / s.m
+    else {
+      val nn = s.knn(j, k, extra)
+      if (nn.isEmpty && extra < 0) 0.0
+      else (1.0 - Quality.errRatio(j, nn, k, s.m)) / s.m
+    }
+
+  /** `calls` calls of the three per-slot kernels, three per visited slot;
+    * returns a checksum so none is dead code.
+    */
+  private def exerciseKernels(s: ExecutedSet, k: Int, calls: Int): Double = {
+    val m = s.m
+    var acc = 0.0
+    var i = 0
+    while (i < calls) {
+      val j = i % m
+      val extra = (i * 7919) % m
+      acc += s.kthDist(j, k) + s.knnDistSum(j, k, extra) + Quality.finishProb(j, s, k, extra)
+      i += 3
+    }
+    acc
+  }
+
   test("add keeps slots sorted and deduplicated") {
     val s = new ExecutedSet(20)
     Seq(5, 1, 9, 5, 1).foreach(s.add)
@@ -126,5 +171,54 @@ class ExecutedSetSpec extends AnyFunSuite {
         assert(s.kthDist(j, k) == expected)
       }
     }
+  }
+
+  test("property: knnDistSum and kthDist match brute force, with and without extra") {
+    for ((m, slots, k) <- kernelCases) {
+      val s = new ExecutedSet(m)
+      slots.foreach(s.add)
+      for (j <- 0 until m) {
+        val nn = bruteKnn(slots, j, k)
+        val kth = if (nn.length < k) Int.MaxValue else math.abs(nn.last - j)
+        assert(s.kthDist(j, k) == kth, s"m=$m j=$j k=$k slots=$slots")
+        // extra = -1 (none), executed extras and extra == j are all included
+        for (extra <- -1 until m) {
+          assert(s.knnDistSum(j, k, extra) == bruteDistSum(m, slots, j, k, extra),
+            s"m=$m j=$j k=$k extra=$extra slots=$slots")
+        }
+      }
+    }
+  }
+
+  test("property: finishProb equals the knn-list formula bit for bit") {
+    for ((m, slots, k) <- kernelCases) {
+      val s = new ExecutedSet(m)
+      slots.foreach(s.add)
+      for (j <- 0 until m; extra <- -1 until m) {
+        val got = Quality.finishProb(j, s, k, extra)
+        val want = finishProbFromKnn(j, s, k, extra)
+        assert(java.lang.Double.doubleToRawLongBits(got) ==
+          java.lang.Double.doubleToRawLongBits(want),
+          s"m=$m j=$j k=$k extra=$extra slots=$slots: $got vs $want")
+      }
+    }
+  }
+
+  test("kthDist, knnDistSum and finishProb allocate nothing") {
+    val threads = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    assume(threads.isThreadAllocatedMemorySupported)
+    threads.setThreadAllocatedMemoryEnabled(true)
+    val m = 1000
+    val s = new ExecutedSet(m)
+    new Random(5).shuffle((0 until m).toList).take(400).foreach(s.add)
+    val k = 3
+    val id = Thread.currentThread.getId
+    exerciseKernels(s, k, 600000) // warm-up: class loading and JIT
+    val before = threads.getThreadAllocatedBytes(id)
+    val checksum = exerciseKernels(s, k, 100000)
+    val allocated = threads.getThreadAllocatedBytes(id) - before
+    assert(checksum > 0)
+    assert(allocated < 64 * 1024, s"$allocated bytes allocated by 100k kernel calls")
   }
 }

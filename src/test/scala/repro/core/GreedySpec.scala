@@ -84,6 +84,20 @@ class GreedySpec extends AnyFunSuite {
     }
   }
 
+  test("Approx* at m = 300: same plan as Approx, quality within 1e-12 of a recompute") {
+    // Approx* sums per-commit deltas; Approx recomputes q in ascending slot
+    // order. The two differ by a few ulps, never by more than 1e-12.
+    for (seed <- 4000 until 4020) {
+      val inst = uniformInst(300, seed)
+      val b = inst.fullCost * 0.25
+      val star = GreedyIndexed.run(inst, b, params, maintainTree = false).result
+      val naive = GreedyNaive.run(inst, b, params).result
+      assert(star.executedSlots == naive.executedSlots, s"seed=$seed")
+      assert(math.abs(star.quality - naive.quality) < 1e-12,
+        s"seed=$seed: ${star.quality} vs ${naive.quality}")
+    }
+  }
+
   test("Approx* equivalence holds across k and t_s") {
     val rnd = new Random(33)
     for (k <- Seq(1, 2, 4); ts <- Seq(2, 8); i <- 0 until 5) {
