@@ -29,8 +29,6 @@ final case class GreedyOutcome(result: AssignmentResult, stats: GreedyStats)
   * (Algorithm 1 lines 3/10), which yields the (1 - 1/√e) guarantee.
   */
 object GreedyNaive {
-  private val Eps = 1e-12
-
   /** Naive marginal gain: ascending full-scan difference sum. The windowed
     * engine (`QualityState.deltaQ`) is bit-identical because excluded terms
     * subtract to exactly 0.0.
@@ -58,15 +56,6 @@ object GreedyNaive {
     val cost = Array.tabulate(m)(inst.cost) // +inf where no worker exists
     val singles = Singletons.qualities(m, k)
 
-    // Line 3: best single affordable subtask.
-    var bestSingle = -1
-    var j = 0
-    while (j < m) {
-      if (cost(j) <= budget &&
-          (bestSingle < 0 || singles(j) > singles(bestSingle))) bestSingle = j
-      j += 1
-    }
-
     val s = new ExecutedSet(m)
     val order = Vector.newBuilder[Int]
     var spent = 0.0
@@ -87,7 +76,7 @@ object GreedyNaive {
           val dq = if (first) singles(t) else deltaQNaive(s, k, t)
           evals += 1
           visited += m
-          val h = dq / math.max(cost(t), Eps)
+          val h = LazyGreedy.ratio(dq, cost(t))
           if (h > bestH) { bestH = h; best = t }
         }
         t += 1
@@ -103,13 +92,8 @@ object GreedyNaive {
       }
     }
 
-    val greedyQ = Quality.quality(s, k)
-    val stats = GreedyStats(iterations, evals, visited, heuristicNanos, 0L, 0L)
-    if (bestSingle >= 0 && singles(bestSingle) > greedyQ) {
-      val res = AssignmentResult(Vector(bestSingle), cost(bestSingle), singles(bestSingle))
-      GreedyOutcome(res, stats)
-    } else {
-      GreedyOutcome(AssignmentResult(order.result(), spent, greedyQ), stats)
-    }
+    val greedy = AssignmentResult(order.result(), spent, Quality.quality(s, k))
+    GreedyOutcome(Singletons.orBest(greedy, singles, cost, budget),
+      GreedyStats(iterations, evals, visited, heuristicNanos, 0L, 0L))
   }
 }

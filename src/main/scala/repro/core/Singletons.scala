@@ -29,4 +29,20 @@ object Singletons {
     val self = Quality.contribution(1.0 / m)
     Array.tabulate(m)(t => self + prefix(t) + prefix(m - 1 - t))
   }
+
+  /** Algorithm 1 lines 3/10: the greedy plan, or the best affordable single
+    * subtask when that alone has the higher quality.
+    */
+  def orBest(greedy: AssignmentResult, singles: Array[Double], cost: Array[Double],
+             budget: Double): AssignmentResult = {
+    var best = -1
+    var j = 0
+    while (j < singles.length) {
+      if (cost(j) <= budget && (best < 0 || singles(j) > singles(best))) best = j
+      j += 1
+    }
+    if (best >= 0 && singles(best) > greedy.quality)
+      AssignmentResult(Vector(best), cost(best), singles(best))
+    else greedy
+  }
 }

@@ -57,17 +57,27 @@ object ConflictGraph {
         Array.copy(deg, 0, degree, 0, n)
       }
     }
-    // Union-find over the final edges.
-    val parent = Array.tabulate(n)(identity)
-    def find(x: Int): Int = { var r = x; while (parent(r) != r) r = parent(r); var c = x; while (parent(c) != r) { val nx = parent(c); parent(c) = r; c = nx }; r }
-    for ((a, b) <- edges) { val ra = find(a); val rb = find(b); if (ra != rb) parent(math.max(ra, rb)) = math.min(ra, rb) }
-    val rootToGroup = mutable.LinkedHashMap.empty[Int, Int]
-    val groupOf = Array.tabulate(n) { i =>
-      val r = find(i)
-      rootToGroup.getOrElseUpdate(r, rootToGroup.size)
-    }
-    val groups = Vector.tabulate(rootToGroup.size)(g =>
+    val groupOf = components(n, edges)
+    val groups = Vector.tabulate(groupOf.maxOption.fold(0)(_ + 1))(g =>
       (0 until n).filter(groupOf(_) == g).toVector)
     Result(groupOf, groups, edges, rounds)
+  }
+
+  /** Connected components of `n` nodes under `edges` by union-find: node →
+    * dense component id, numbered in order of each component's first node.
+    */
+  def components(n: Int, edges: Iterable[(Int, Int)]): Array[Int] = {
+    val parent = Array.tabulate(n)(identity)
+    def find(x: Int): Int = {
+      var r = x; while (parent(r) != r) r = parent(r)
+      var c = x; while (parent(c) != r) { val nx = parent(c); parent(c) = r; c = nx }
+      r
+    }
+    edges.foreach { case (a, b) =>
+      val ra = find(a); val rb = find(b)
+      if (ra != rb) parent(math.max(ra, rb)) = math.min(ra, rb)
+    }
+    val dense = mutable.LinkedHashMap.empty[Int, Int]
+    Array.tabulate(n)(i => dense.getOrElseUpdate(find(i), dense.size))
   }
 }

@@ -30,17 +30,6 @@ final case class MultiOutcome(
   * pushes competing tasks to their 2nd-, 3rd-, … nearest (Fig 4).
   */
 object SerialMulti {
-  private val Eps = 1e-12
-
-  private[multi] final class TaskCtx(val inst: TaskInstance, params: TcscParams) {
-    val st = new QualityState(inst.m, params.k)
-    val singles: Array[Double] = Singletons.qualities(inst.m, params.k)
-    val order = Vector.newBuilder[Int]
-    var spent = 0.0
-    def deltaQ(j: Int): Double =
-      if (st.executedCount == 0) singles(j) else st.deltaQ(j)
-    def result: AssignmentResult = AssignmentResult(order.result(), spent, st.quality)
-  }
 
   private[multi] def outcome(ctxs: IndexedSeq[TaskCtx], execs: Vector[Execution],
                              commits: Int, evals: Long, conflicts: Long,
@@ -74,58 +63,52 @@ object SerialMulti {
     c
   }
 
+  /** State of an eager run: every step scans the candidates afresh. */
+  private final class Eager(instances: Seq[TaskInstance], budget: Double, params: TcscParams) {
+    private val t0 = System.nanoTime()
+    val insts: IndexedSeq[TaskInstance] = instances.toIndexedSeq
+    val ctxs: IndexedSeq[TaskCtx] = insts.map(new TaskCtx(_, params.k))
+    private val pool = new WorkerPool
+    private val execs = Vector.newBuilder[Execution]
+    private var spent = 0.0
+    private var commits = 0
+    var evals = 0L
+    private var conflicts = 0L
+
+    /** Best affordable candidate of tasks `from until until`, or null. */
+    def best(from: Int, until: Int, gain: (Int, Int) => Double): WorkerPool.Pick =
+      pool.bestAffordable(insts, from, until, spent, budget,
+        (i, j) => ctxs(i).st.isExecuted(j), gain)
+
+    def commit(p: WorkerPool.Pick): Unit = {
+      val ctx = ctxs(p.task)
+      conflicts += registerConflicts(ctxs, pool, p.task, p.slot, p.worker, _ => ())
+      require(pool.tryTake(p.worker, p.slot), "serial take cannot race")
+      ctx.st.insert(p.slot)
+      ctx.order += p.slot
+      ctx.spent += p.cost
+      spent += p.cost
+      execs += Execution(ctx.inst.task.id, p.slot, p.worker, p.cost)
+      commits += 1
+    }
+
+    def result: MultiOutcome =
+      outcome(ctxs, execs.result(), commits, evals, conflicts, System.nanoTime() - t0)
+  }
+
   /** MSQM, basic serial greedy (no index reuse across iterations, no
     * parallelism): the Fig 9 (a) "basic" competitor.
     */
   def basic(instances: Seq[TaskInstance], budget: Double,
             params: TcscParams): MultiOutcome = {
-    val t0 = System.nanoTime()
-    val ctxs = instances.map(new TaskCtx(_, params)).toIndexedSeq
-    val pool = new WorkerPool
-    val execs = Vector.newBuilder[Execution]
-    var spent = 0.0
-    var commits = 0
-    var evals = 0L
-    var conflicts = 0L
-    var continue = true
-    while (continue) {
-      var bi = -1; var bj = -1; var bh = Double.NegativeInfinity
-      var bRank = -1; var bCost = 0.0
-      var i = 0
-      while (i < ctxs.length) {
-        val ctx = ctxs(i)
-        var j = 0
-        while (j < ctx.inst.m) {
-          if (!ctx.st.isExecuted(j)) {
-            val rank = pool.freeRank(ctx.inst.slots(j), j)
-            if (rank >= 0) {
-              val cost = ctx.inst.slots(j).costs(rank)
-              if (spent + cost <= budget) {
-                val h = ctx.deltaQ(j) / math.max(cost, Eps)
-                evals += 1
-                if (h > bh) { bh = h; bi = i; bj = j; bRank = rank; bCost = cost }
-              }
-            }
-          }
-          j += 1
-        }
-        i += 1
-      }
-      if (bi < 0) continue = false
-      else {
-        val ctx = ctxs(bi)
-        val w = ctx.inst.slots(bj).workers(bRank)
-        conflicts += registerConflicts(ctxs, pool, bi, bj, w, _ => ())
-        require(pool.tryTake(w, bj), "serial take cannot race")
-        ctx.st.insert(bj)
-        ctx.order += bj
-        ctx.spent += bCost
-        spent += bCost
-        execs += Execution(ctx.inst.task.id, bj, w, bCost)
-        commits += 1
-      }
+    val run = new Eager(instances, budget, params)
+    val gain = (i: Int, j: Int) => { run.evals += 1; run.ctxs(i).deltaQ(j) }
+    var p = run.best(0, run.ctxs.length, gain)
+    while (p != null) {
+      run.commit(p)
+      p = run.best(0, run.ctxs.length, gain)
     }
-    outcome(ctxs, execs.result(), commits, evals, conflicts, System.nanoTime() - t0)
+    run.result
   }
 
   /** MMQM (Problem 3): maximize the minimum task quality. A min-heap over
@@ -136,56 +119,27 @@ object SerialMulti {
     */
   def minQuality(instances: Seq[TaskInstance], budget: Double,
                  params: TcscParams, indexed: Boolean = true): MultiOutcome = {
-    val t0 = System.nanoTime()
-    val ctxs = instances.map(new TaskCtx(_, params)).toIndexedSeq
-    val pool = new WorkerPool
-    val execs = Vector.newBuilder[Execution]
-    var spent = 0.0
-    var commits = 0
-    var evals = 0L
-    var conflicts = 0L
-    // (quality, taskId) min-heap via sorted set semantics on a PQ.
+    val run = new Eager(instances, budget, params)
+    val gain = { (i: Int, j: Int) =>
+      run.evals += 1
+      val ctx = run.ctxs(i)
+      if (indexed || ctx.st.executedCount == 0) ctx.deltaQ(j)
+      else GreedyNaive.deltaQNaive(ctx.st.executed, params.k, j)
+    }
+    // (quality, task index) min-heap: min quality, then min index.
     val heap = scala.collection.mutable.PriorityQueue.empty[(Double, Int)](
-      Ordering.by((e: (Double, Int)) => (e._1, e._2)).reverse) // min quality, then min id
-    ctxs.indices.foreach(i => heap.enqueue((0.0, i)))
+      Ordering.by((e: (Double, Int)) => (e._1, e._2)).reverse)
+    run.ctxs.indices.foreach(i => heap.enqueue((0.0, i)))
     while (heap.nonEmpty) {
       val (_, i) = heap.dequeue()
-      val ctx = ctxs(i)
-      // One greedy step for the weakest task.
-      var bj = -1; var bh = Double.NegativeInfinity; var bRank = -1; var bCost = 0.0
-      var j = 0
-      while (j < ctx.inst.m) {
-        if (!ctx.st.isExecuted(j)) {
-          val rank = pool.freeRank(ctx.inst.slots(j), j)
-          if (rank >= 0) {
-            val cost = ctx.inst.slots(j).costs(rank)
-            if (spent + cost <= budget) {
-              val dq = if (!indexed) {
-                if (ctx.st.executedCount == 0) ctx.singles(j)
-                else GreedyNaive.deltaQNaive(ctx.st.executed, params.k, j)
-              } else ctx.deltaQ(j)
-              evals += 1
-              val h = dq / math.max(cost, Eps)
-              if (h > bh) { bh = h; bj = j; bRank = rank; bCost = cost }
-            }
-          }
-        }
-        j += 1
+      // One greedy step for the weakest task; a task with no affordable
+      // candidate leaves the heap for good.
+      val p = run.best(i, i + 1, gain)
+      if (p != null) {
+        run.commit(p)
+        heap.enqueue((run.ctxs(i).st.quality, i)) // re-enter with updated quality
       }
-      if (bj >= 0) {
-        val w = ctx.inst.slots(bj).workers(bRank)
-        conflicts += registerConflicts(ctxs, pool, i, bj, w, _ => ())
-        require(pool.tryTake(w, bj), "serial take cannot race")
-        ctx.st.insert(bj)
-        ctx.order += bj
-        ctx.spent += bCost
-        spent += bCost
-        execs += Execution(ctx.inst.task.id, bj, w, bCost)
-        commits += 1
-        heap.enqueue((ctx.st.quality, i)) // re-enter with updated quality
-      }
-      // A task with no affordable candidate leaves the heap for good.
     }
-    outcome(ctxs, execs.result(), commits, evals, conflicts, System.nanoTime() - t0)
+    run.result
   }
 }

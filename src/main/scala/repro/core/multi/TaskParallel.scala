@@ -1,16 +1,15 @@
 package repro.core.multi
 
 import repro.core._
-import java.util.concurrent.{Callable, Executors}
-import scala.collection.mutable
-import scala.jdk.CollectionConverters._
+import java.util.concurrent.Executors
 
 /** Task-level parallelization of MSQM (Section IV-A-2, Fig 5).
   *
-  * A master loop owns the global best-first heap of candidate subtasks; a
+  * A master loop owns the global best-first heap of candidate subtasks
+  * (`LazyGreedy` over all tasks, costed by the cheapest free worker); a
   * fixed pool of worker threads concurrently recomputes stale heuristic
-  * values (the expensive part). The paper's coordination structures are
-  * materialized:
+  * values (the expensive part). With one thread they are recomputed inline.
+  * The paper's coordination structures are materialized:
   *
   *  - **Heartbeat Table** — per-task latest heuristic value, refreshed every
   *    time a task's candidate is (re)evaluated or committed;
@@ -26,17 +25,12 @@ import scala.jdk.CollectionConverters._
   * plan for any thread count (the paper's determinism claim — tested).
   *
   * `priority = true` refreshes stale candidates in descending heuristic
-  * order and stops as soon as the maximum is provably fresh (the paper's
-  * dynamic thread priorities); `priority = false` refreshes every stale
-  * candidate before each commit, quantifying what the priority adjustment
-  * saves (Fig 9 (f)).
+  * order, `threads` at a time, and stops as soon as the maximum is provably
+  * fresh (the paper's dynamic thread priorities); `priority = false`
+  * refreshes every stale candidate before each commit, quantifying what the
+  * priority adjustment saves (Fig 9 (f)).
   */
 object TaskParallel {
-  private val Eps = 1e-12
-
-  private final case class Entry(h: Double, task: Int, slot: Int, ver: Long)
-  private val ord: Ordering[Entry] =
-    Ordering.by((e: Entry) => (e.h, -e.task, -e.slot)) // h desc, task asc, slot asc
 
   final case class ConflictRecord(tasks: Set[Int], slot: Int, nextRank: Int)
   final case class LogRecord(commit: Int, task: Int, slot: Int, worker: Int,
@@ -51,164 +45,50 @@ object TaskParallel {
           threads: Int, priority: Boolean = true): (MultiOutcome, Tables) = {
     require(threads >= 1, "threads >= 1")
     val t0 = System.nanoTime()
-    val ctxs = instances.map(new SerialMulti.TaskCtx(_, params)).toIndexedSeq
-    val n = ctxs.length
+    val insts = instances.toIndexedSeq
     val pool = new WorkerPool
-    val execPool = Executors.newFixedThreadPool(threads)
-
-    val dirtyVer  = Array.tabulate(n)(i => new Array[Long](ctxs(i).inst.m))
-    val latestVer = Array.tabulate(n)(i => new Array[Long](ctxs(i).inst.m))
-    var version = 0L
-    val heap = new mutable.PriorityQueue[Entry]()(ord)
-    val heartbeat = Array.fill(n)(Double.NaN)
+    val heartbeat = Array.fill(insts.length)(Double.NaN)
     val conflictTable = Vector.newBuilder[ConflictRecord]
     val logTable = Vector.newBuilder[LogRecord]
     val execs = Vector.newBuilder[Execution]
-
-    var spent = 0.0
     var commits = 0
-    var evals = 0L
     var conflicts = 0L
 
-    // Current cost of a candidate: cheapest still-free worker, or NaN.
-    def curCost(i: Int, j: Int): Double = {
-      val sc = ctxs(i).inst.slots(j)
-      val r = pool.freeRank(sc, j)
-      if (r < 0) Double.NaN else sc.costs(r)
-    }
-
-    def live(e: Entry): Boolean = {
-      if (ctxs(e.task).st.isExecuted(e.slot)) return false
-      if (e.ver < latestVer(e.task)(e.slot)) return false // superseded entry
-      val c = curCost(e.task, e.slot)
-      !c.isNaN && spent + c <= budget // both sides monotone: drop is permanent
-    }
-
-    def fresh(e: Entry): Boolean = e.ver >= dirtyVer(e.task)(e.slot)
-
-    // Initial candidates: empty executed sets, so marginals are the O(1)
-    // singleton qualities.
-    for (i <- 0 until n; j <- 0 until ctxs(i).inst.m) {
-      val c = curCost(i, j)
-      if (!c.isNaN && c <= budget)
-        heap.enqueue(Entry(ctxs(i).singles(j) / math.max(c, Eps), i, j, 0L))
-    }
-
-    /** Recompute a batch of stale entries on the thread pool and re-enqueue
-      * them at the current version. Results are deterministic: the value of
-      * each Δq does not depend on thread interleaving, and pushes happen
-      * from the master in (task, slot) order.
-      */
-    def recomputeBatch(batch: Seq[Entry]): Unit = {
-      val sorted = batch.sortBy(e => (e.task, e.slot))
-      val tasks = sorted.map { e =>
-        new Callable[Double] {
-          def call(): Double =
-            if (ctxs(e.task).st.executedCount == 0) ctxs(e.task).singles(e.slot)
-            else ctxs(e.task).st.deltaQ(e.slot)
-        }
+    val exec = if (threads > 1) Executors.newFixedThreadPool(threads) else null
+    try {
+      // A candidate costs its cheapest free worker; none left is +∞.
+      def cost(i: Int, j: Int): Double = {
+        val sc = insts(i).slots(j)
+        val r = pool.freeRank(sc, j)
+        if (r < 0) Double.PositiveInfinity else sc.costs(r)
       }
-      val results = execPool.invokeAll(tasks.asJava).asScala.map(_.get())
-      var i = 0
-      while (i < sorted.length) {
-        val e = sorted(i)
-        val c = curCost(e.task, e.slot)
-        if (!c.isNaN && spent + c <= budget) {
-          val h = results(i) / math.max(c, Eps)
-          latestVer(e.task)(e.slot) = version
-          heartbeat(e.task) = h
-          heap.enqueue(Entry(h, e.task, e.slot, version))
-        }
-        evals += 1
-        i += 1
-      }
-    }
-
-    var done = false
-    while (!done) {
-      // --- master: find the fresh global maximum -------------------------
-      var selected: Entry = null
-      while (selected == null && heap.nonEmpty) {
-        if (priority) {
-          val e = heap.dequeue()
-          if (live(e)) {
-            if (fresh(e)) selected = e
-            else {
-              val batch = mutable.ArrayBuffer(e)
-              var stop = false
-              while (batch.length < threads && !stop && heap.nonEmpty) {
-                val e2 = heap.dequeue()
-                if (live(e2)) {
-                  if (fresh(e2)) { heap.enqueue(e2); stop = true }
-                  else batch += e2
-                }
-              }
-              recomputeBatch(batch.toSeq)
-            }
-          }
-        } else {
-          // No priorities: refresh every stale candidate before committing.
-          val e = heap.dequeue()
-          if (live(e)) {
-            if (fresh(e)) selected = e
-            else {
-              val stale = mutable.ArrayBuffer(e)
-              val keep = mutable.ArrayBuffer.empty[Entry]
-              while (heap.nonEmpty) {
-                val e2 = heap.dequeue()
-                if (live(e2)) { if (fresh(e2)) keep += e2 else stale += e2 }
-              }
-              keep.foreach(heap.enqueue(_))
-              recomputeBatch(stale.toSeq)
-            }
-          }
-        }
-      }
-      if (selected == null) done = true
-      else {
-        // --- master: commit -----------------------------------------------
-        val i = selected.task
-        val j = selected.slot
-        val ctx = ctxs(i)
-        val sc = ctx.inst.slots(j)
+      val g = new LazyGreedy(insts, params.k, budget, cost,
+        width = if (priority) threads else LazyGreedy.All, exec,
+        (i, h) => heartbeat(i) = h)
+      var e = g.next()
+      while (e != null) {
+        val i = e.task
+        val j = e.slot
+        val sc = insts(i).slots(j)
         val rank = pool.freeRank(sc, j)
         val w = sc.workers(rank)
         val cost = sc.costs(rank)
-        version += 1
-        conflicts += SerialMulti.registerConflicts(ctxs, pool, i, j, w, { other =>
-          dirtyVer(other)(j) = version // cost bumped to the next-nearest worker
+        g.commit(i, j, cost)
+        conflicts += SerialMulti.registerConflicts(g.tasks, pool, i, j, w, { other =>
+          g.dirty(other, j) // cost bumped to the next-nearest worker
           conflictTable += ConflictRecord(Set(i, other), j,
-            pool.rankOf(ctxs(other).inst.slots(j), w) + 2)
+            pool.rankOf(insts(other).slots(j), w) + 2)
         })
         require(pool.tryTake(w, j), "master commit cannot race")
-        val (lo, hi) = ctx.st.window(j)
-        // Quality-dirty the Voronoi neighbourhood (same rule as Approx*:
-        // Dmax over *pre-insert* k-th-NN distances).
-        var dmax = 0; var unbounded = false; var jj = lo
-        while (jj <= hi && !unbounded) {
-          val d = ctx.st.executed.kthDist(jj, params.k)
-          if (d == Int.MaxValue) unbounded = true else if (d > dmax) dmax = d
-          jj += 1
-        }
-        ctx.st.insert(j)
-        val m = ctx.inst.m
-        val dLo = if (unbounded) 0 else math.max(0, lo - dmax)
-        val dHi = if (unbounded) m - 1 else math.min(m - 1, hi + dmax)
-        jj = dLo
-        while (jj <= dHi) { dirtyVer(i)(jj) = version; jj += 1 }
-
-        ctx.order += j
-        ctx.spent += cost
-        spent += cost
         commits += 1
-        heartbeat(i) = selected.h
-        execs += Execution(ctx.inst.task.id, j, w, cost)
-        logTable += LogRecord(commits, i, j, w, selected.h, spent)
+        heartbeat(i) = e.h
+        execs += Execution(insts(i).task.id, j, w, cost)
+        logTable += LogRecord(commits, i, j, w, e.h, g.spent)
+        e = g.next()
       }
-    }
-    execPool.shutdown()
-    val out = SerialMulti.outcome(ctxs, execs.result(), commits, evals, conflicts,
-      System.nanoTime() - t0)
-    (out, Tables(heartbeat.toVector, conflictTable.result(), logTable.result()))
+      val out = SerialMulti.outcome(g.tasks, execs.result(), commits, g.evals, conflicts,
+        System.nanoTime() - t0)
+      (out, Tables(heartbeat.toVector, conflictTable.result(), logTable.result()))
+    } finally if (exec != null) exec.shutdown()
   }
 }

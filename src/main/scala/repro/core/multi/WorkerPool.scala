@@ -1,6 +1,6 @@
 package repro.core.multi
 
-import repro.core.SlotCandidates
+import repro.core.{LazyGreedy, SlotCandidates, TaskInstance}
 
 /** Global (worker, slot) occupancy — a worker serves at most one subtask per
   * time slot, which is what creates cross-task conflicts (Section IV-A).
@@ -41,4 +41,43 @@ final class WorkerPool {
     }
     -1
   }
+
+  /** The eager greedy scan: among the unexecuted slots of tasks
+    * `from until until` whose cheapest free worker fits the budget, the one
+    * with the largest `LazyGreedy.ratio` of `gain` to that worker's cost.
+    * Ties go to the lower task, then the lower slot. Null when nothing is
+    * affordable.
+    */
+  def bestAffordable(insts: IndexedSeq[TaskInstance], from: Int, until: Int,
+                     spent: Double, budget: Double,
+                     executed: (Int, Int) => Boolean,
+                     gain: (Int, Int) => Double): WorkerPool.Pick = {
+    var bi = -1; var bj = -1; var bRank = -1; var bh = Double.NegativeInfinity
+    var i = from
+    while (i < until) {
+      var j = 0
+      while (j < insts(i).m) {
+        if (!executed(i, j)) {
+          val sc = insts(i).slots(j)
+          val rank = freeRank(sc, j)
+          if (rank >= 0 && spent + sc.costs(rank) <= budget) {
+            val h = LazyGreedy.ratio(gain(i, j), sc.costs(rank))
+            if (h > bh) { bh = h; bi = i; bj = j; bRank = rank }
+          }
+        }
+        j += 1
+      }
+      i += 1
+    }
+    if (bi < 0) null
+    else {
+      val sc = insts(bi).slots(bj)
+      WorkerPool.Pick(bi, bj, sc.workers(bRank), sc.costs(bRank))
+    }
+  }
+}
+
+object WorkerPool {
+  /** Slot `slot` of task index `task`, by `worker` at `cost`. */
+  final case class Pick(task: Int, slot: Int, worker: Int, cost: Double)
 }

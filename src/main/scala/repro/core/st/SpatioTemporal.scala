@@ -26,7 +26,7 @@ final class StState(
 ) {
   require(math.abs(ws + wt - 1.0) < 1e-9, "w_s + w_t must equal 1")
   val n: Int = tasks.length
-  val m: Int = tasks.head.m
+  val m: Int = if (tasks.isEmpty) 0 else tasks.head.m
   private val Diam = math.sqrt(2.0) // |D|: diameter of the unit square
 
   private val byTask = Array.fill(n)(new ExecutedSet(m))
@@ -140,7 +140,6 @@ final class StState(
 }
 
 object SpatioTemporal {
-  private val Eps = 1e-12
 
   /** SApprox: greedy ratio rule under the combined metric, global budget. */
   def sApprox(instances: Seq[TaskInstance], budget: Double, k: Int,
@@ -166,36 +165,15 @@ object SpatioTemporal {
     val pool = new repro.core.multi.WorkerPool
     val execs = Vector.newBuilder[Execution]
     var spent = 0.0
-    var continue = true
-    while (continue) {
-      var bi = -1; var bj = -1; var bh = Double.NegativeInfinity
-      var bRank = -1; var bCost = 0.0
-      var i = 0
-      while (i < insts.length) {
-        var j = 0
-        while (j < insts(i).m) {
-          if (!st.isExecuted(i, j)) {
-            val rank = pool.freeRank(insts(i).slots(j), j)
-            if (rank >= 0) {
-              val cost = insts(i).slots(j).costs(rank)
-              if (spent + cost <= budget) {
-                val h = st.deltaQ(i, j) / math.max(cost, Eps)
-                if (h > bh) { bh = h; bi = i; bj = j; bRank = rank; bCost = cost }
-              }
-            }
-          }
-          j += 1
-        }
-        i += 1
-      }
-      if (bi < 0) continue = false
-      else {
-        val w = insts(bi).slots(bj).workers(bRank)
-        require(pool.tryTake(w, bj), "serial take cannot race")
-        st.insert(bi, bj)
-        spent += bCost
-        execs += Execution(insts(bi).task.id, bj, w, bCost)
-      }
+    def best() = pool.bestAffordable(insts, 0, insts.length, spent, budget,
+      st.isExecuted, st.deltaQ)
+    var p = best()
+    while (p != null) {
+      require(pool.tryTake(p.worker, p.slot), "serial take cannot race")
+      st.insert(p.task, p.slot)
+      spent += p.cost
+      execs += Execution(insts(p.task).task.id, p.slot, p.worker, p.cost)
+      p = best()
     }
     (MultiResult(execs.result(), spent), st)
   }

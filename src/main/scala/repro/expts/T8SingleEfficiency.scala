@@ -87,7 +87,7 @@ object T8SingleEfficiency {
       val (_, _, outs) = measure(instances(300, 1000, TcscGen.Uniform), 0.25,
         TcscParams(ts = ts), runNaive = false)
       cells += Cell("Fig8e:tree_vs_ts", ts.toString, "tree_ms",
-        outs.map(_.treeBuildNanos).sum / outs.size / 1e6)
+        outs.map(_.stats.treeNanos).sum / outs.size / 1e6)
       cells += Cell("Fig8e:tree_vs_ts", ts.toString, "tree_nodes",
         outs.map(_.treeNodeCount.toDouble).sum / outs.size)
     }

@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{Execution, TcscParams}
-import repro.core.multi.TaskParallel
+import repro.core.multi.{ConflictGraph, TaskParallel}
 import repro.data.TcscGen
 
 /** The multi-task assignment as a partitioned Spark job (DESIGN.md §3).
@@ -11,7 +11,7 @@ import repro.data.TcscGen
   * Conflict-candidate edges are discovered with a grid-cell self-join
   * (spatial pruning: only tasks whose neighbourhoods can share a worker are
   * paired), independent groups are the connected components, and each group
-  * runs the serial greedy on its own partition via
+  * runs the task-level lazy greedy at one thread on its own partition via
   * `groupByKey(group).flatMapGroups` — Spark partitions play the paper's
   * computation cores. Instances travel to executors via a broadcast of the
   * deterministic scenario.
@@ -64,20 +64,8 @@ object AssignPipeline {
   /** Connected components over the (small) edge set: union-find on the
     * driver after the Spark-side edge discovery.
     */
-  def groups(nTasks: Int, edges: Seq[(Int, Int)]): Array[Int] = {
-    val parent = Array.tabulate(nTasks)(identity)
-    def find(x: Int): Int = {
-      var r = x; while (parent(r) != r) r = parent(r)
-      var c = x; while (parent(c) != r) { val nx = parent(c); parent(c) = r; c = nx }
-      r
-    }
-    edges.foreach { case (a, b) =>
-      val ra = find(a); val rb = find(b)
-      if (ra != rb) parent(math.max(ra, rb)) = math.min(ra, rb)
-    }
-    val dense = scala.collection.mutable.LinkedHashMap.empty[Int, Int]
-    Array.tabulate(nTasks)(i => dense.getOrElseUpdate(find(i), dense.size))
-  }
+  def groups(nTasks: Int, edges: Seq[(Int, Int)]): Array[Int] =
+    ConflictGraph.components(nTasks, edges)
 
   /** End-to-end: scenario → conflict groups → per-partition greedy →
     * executions DataFrame. Budget is split b·|G|/|T| per group, as in
@@ -115,7 +103,7 @@ object AssignPipeline {
   def planQualities(spark: SparkSession, sc: TcscGen.Scenario,
                     executions: DataFrame, k: Int): DataFrame = {
     import spark.implicits._
-    val m = sc.tasks.head.m
+    val m = sc.tasks.headOption.fold(1)(_.m) // no rows to score when empty
     val slots = sc.tasks.flatMap(t => (0 until t.m).map(s => (t.id, s)))
       .toDF("task_id", "slot")
     val executed = executions.select($"taskId".as("task_id"), $"slot")

@@ -90,7 +90,7 @@ class GreedySpec extends AnyFunSuite {
     for (seed <- 4000 until 4020) {
       val inst = uniformInst(300, seed)
       val b = inst.fullCost * 0.25
-      val star = GreedyIndexed.run(inst, b, params, maintainTree = false).result
+      val star = GreedyIndexed.run(inst, b, params).result
       val naive = GreedyNaive.run(inst, b, params).result
       assert(star.executedSlots == naive.executedSlots, s"seed=$seed")
       assert(math.abs(star.quality - naive.quality) < 1e-12,

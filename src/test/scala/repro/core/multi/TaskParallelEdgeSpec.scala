@@ -76,9 +76,4 @@ class TaskParallelEdgeSpec extends AnyFunSuite {
     val out = SerialMulti.minQuality(sc.instances, 0.0, params)
     assert(out.commits == 0 && out.qMin == 0.0)
   }
-
-  test("basic with empty task list") {
-    val out = SerialMulti.basic(Seq.empty, 10.0, params)
-    assert(out.commits == 0 && out.qSum == 0.0 && out.perTask.isEmpty)
-  }
 }

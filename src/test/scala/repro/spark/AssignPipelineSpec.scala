@@ -1,7 +1,7 @@
 package repro.spark
 
 import repro.SparkSpec
-import repro.core.{Quality, TcscParams}
+import repro.core.{Execution, Quality, TcscParams}
 import repro.core.multi.TaskParallel
 import repro.data.TcscGen
 
@@ -77,5 +77,12 @@ class AssignPipelineSpec extends SparkSpec {
     val execs = AssignPipeline.assign(spark, sc, 0.25, params).collect()
     val pairs = execs.map(e => (e.workerId, e.slot)).toSeq
     assert(pairs.distinct.size == pairs.size)
+  }
+
+  test("planQualities of an empty task list scores nothing") {
+    import spark.implicits._
+    val empty = TcscGen.Scenario(Vector.empty, Vector.empty, Vector.empty)
+    val q = AssignPipeline.planQualities(spark, empty, Seq.empty[Execution].toDF(), params.k)
+    assert(q.collect().isEmpty)
   }
 }
