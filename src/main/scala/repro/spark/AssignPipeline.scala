@@ -98,12 +98,14 @@ object AssignPipeline {
   }
 
   /** Quality of an executions plan, computed in Spark with the registered
-    * UDAF over the probability pipeline.
+    * UDAF over the probability pipeline. Every task must share one horizon m.
     */
   def planQualities(spark: SparkSession, sc: TcscGen.Scenario,
                     executions: DataFrame, k: Int): DataFrame = {
     import spark.implicits._
     val m = sc.tasks.headOption.fold(1)(_.m) // no rows to score when empty
+    require(sc.tasks.forall(_.m == m),
+      s"planQualities scores one horizon; tasks have m in ${sc.tasks.map(_.m).distinct.sorted.mkString(", ")}")
     val slots = sc.tasks.flatMap(t => (0 until t.m).map(s => (t.id, s)))
       .toDF("task_id", "slot")
     val executed = executions.select($"taskId".as("task_id"), $"slot")

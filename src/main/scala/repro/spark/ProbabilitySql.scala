@@ -9,11 +9,19 @@ import org.apache.spark.sql.functions._
   * Inputs: `slots(task_id, slot)` — every subtask of every task — and
   * `executed(task_id, slot)` — the assignment plan. Output:
   * `(task_id, slot, p)` with the paper's k-NN interpolation semantics,
-  * including footnote 2 (missing neighbours at distance m) and the
-  * deterministic tie-break (smaller executed slot wins at equal distance),
-  * matching `repro.core.Quality` bit-for-bit in intent and to 1e-6 in tests.
+  * including footnote 2 (missing neighbours at distance m), p bit-identical
+  * to `repro.core.Quality.finishProb`.
   *
-  * `duckSql` is the same computation in portable SQL, run on DuckDB by
+  * The timeline is 1-D, so a slot's p depends only on the executed slots of
+  * its own task, through the sum of its k smallest distances. The plan has
+  * one shuffle and no join: slot rows and executed rows are unioned, one
+  * `Window.partitionBy(task_id)` hands every row its task's executed slots,
+  * and array expressions take the k smallest distances. Ties among equal
+  * distances do not change the sum, so no tie-break is needed. A
+  * `groupBy(task_id)` downstream (`qualities`) reuses the partitioning.
+  *
+  * `duckSql` is an independent reference formulation (a slots × executed
+  * join ranked with `ROW_NUMBER`), run on DuckDB by
   * `repro.Oracle.assertEquivalent` against this pipeline's output.
   */
 object ProbabilitySql {
@@ -21,30 +29,30 @@ object ProbabilitySql {
   def probabilities(spark: SparkSession, slots: DataFrame, executed: DataFrame,
                     k: Int, m: Int): DataFrame = {
     import spark.implicits._
-    val s = slots.select($"task_id".cast("int").as("task_id"), $"slot".cast("int").as("slot"))
-    val e = executed.select($"task_id".cast("int").as("task_id"), $"slot".cast("int").as("eslot"))
+    val none = lit(null).cast("int")
+    val s = slots.select($"task_id".cast("int").as("task_id"),
+      $"slot".cast("int").as("slot"), none.as("eslot"))
+    val e = executed.select($"task_id".cast("int").as("task_id"),
+      none.as("slot"), $"slot".cast("int").as("eslot"))
 
-    val dists = s.join(e, "task_id")
-      .select($"task_id", $"slot", $"eslot", abs($"slot" - $"eslot").as("dist"))
-    val w = Window.partitionBy($"task_id", $"slot").orderBy($"dist", $"eslot")
-    val knn = dists.withColumn("rn", row_number().over(w))
-      .filter($"rn" <= k)
-      .groupBy($"task_id", $"slot")
-      .agg(sum($"dist").as("dsum"), count(lit(1)).as("cnt"))
-
-    val exFlag = e.select($"task_id", $"eslot".as("slot")).withColumn("is_exec", lit(1))
-    s.join(exFlag, Seq("task_id", "slot"), "left")
-      .join(knn, Seq("task_id", "slot"), "left")
-      .select(
-        $"task_id", $"slot",
-        when($"is_exec".isNotNull, lit(1.0) / m)
-          .when($"dsum".isNull, lit(0.0))
-          .otherwise(
-            (lit(1.0) - ($"dsum" + (lit(k) - $"cnt") * m) / lit(k.toDouble * m)) / m)
-          .as("p"))
+    // collect_list skips the slot rows' null eslot
+    val rows = s.unionByName(e)
+      .withColumn("ex", collect_list($"eslot").over(Window.partitionBy($"task_id")))
+      .filter($"slot".isNotNull)
+    val n = size($"ex")
+    val nearest = slice(array_sort(transform($"ex", x => abs(x - $"slot"))), 1, k)
+    val dsum = aggregate(nearest, lit(0L), (acc, d) => acc + d) + (lit(k) - least(n, lit(k))) * m
+    rows.select(
+      $"task_id", $"slot",
+      when(array_contains($"ex", $"slot"), lit(1.0) / m)
+        .when(n === 0, lit(0.0))
+        .otherwise((lit(1.0) - dsum / lit(k.toDouble * m)) / m)
+        .as("p"))
   }
 
-  /** DuckDB-dialect equivalent over VARCHAR-typed oracle tables. */
+  /** DuckDB-dialect reference over VARCHAR-typed oracle tables: each slot
+    * joined to its task's executed slots, ranked with `ROW_NUMBER`.
+    */
   def duckSql(k: Int, m: Int): String =
     s"""WITH s AS (SELECT CAST(task_id AS INT) AS task_id, CAST(slot AS INT) AS slot FROM slots),
        |     e AS (SELECT CAST(task_id AS INT) AS task_id, CAST(slot AS INT) AS slot FROM executed),
@@ -67,9 +75,7 @@ object ProbabilitySql {
   /** Per-task quality via the registered UDAF over a probability frame. */
   def qualities(spark: SparkSession, probs: DataFrame): DataFrame = {
     QualityFunctions.register(spark)
-    probs.createOrReplaceTempView("tcsc_probs")
-    spark.sql(
-      "SELECT task_id, tcsc_quality(p) AS q FROM tcsc_probs GROUP BY task_id")
+    probs.groupBy(col("task_id")).agg(call_function("tcsc_quality", col("p")).as("q"))
   }
 
   /** DuckDB-dialect quality aggregation over a `probs` oracle table. */

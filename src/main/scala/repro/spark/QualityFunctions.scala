@@ -4,13 +4,13 @@ import org.apache.spark.sql.{Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions
 
-/** The entropy quality metric as Spark SQL functions (DESIGN.md §3).
+/** The entropy quality metric as a Spark SQL function (DESIGN.md §3).
   *
   * `tcsc_quality(p)` aggregates subtask finishing probabilities into the
-  * task quality q = -Σ p·log2 p (Eq 1); `tcsc_contrib(p)` is the per-slot
-  * term. Registered in the session's function registry so Catalyst plans
-  * (group-by aggregations over probability DataFrames) can use the paper's
-  * metric directly; results are oracle-checked against DuckDB in tests.
+  * task quality q = -Σ p·log2 p (Eq 1). Registered in the session's
+  * function registry so Catalyst plans (group-by aggregations over
+  * probability DataFrames) can use the paper's metric directly; results are
+  * oracle-checked against DuckDB in tests.
   */
 object QualityFunctions {
 
@@ -26,10 +26,7 @@ object QualityFunctions {
       def outputEncoder: Encoder[Double] = Encoders.scalaDouble
     }
 
-  /** Idempotently register the TCSC functions on `spark`. */
-  def register(spark: SparkSession): Unit = {
+  /** Idempotently register `tcsc_quality` on `spark`. */
+  def register(spark: SparkSession): Unit =
     spark.udf.register("tcsc_quality", functions.udaf(entropyQuality))
-    spark.udf.register("tcsc_contrib",
-      (p: Double) => if (p > 0) -p * (math.log(p) / math.log(2.0)) else 0.0)
-  }
 }

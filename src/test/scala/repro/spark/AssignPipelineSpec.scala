@@ -1,7 +1,10 @@
 package repro.spark
 
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.joins.BaseJoinExec
 import repro.SparkSpec
-import repro.core.{Execution, Quality, TcscParams}
+import repro.core.{Execution, Quality, Task, TcscParams}
 import repro.core.multi.TaskParallel
 import repro.data.TcscGen
 
@@ -84,5 +87,30 @@ class AssignPipelineSpec extends SparkSpec {
     val empty = TcscGen.Scenario(Vector.empty, Vector.empty, Vector.empty)
     val q = AssignPipeline.planQualities(spark, empty, Seq.empty[Execution].toDF(), params.k)
     assert(q.collect().isEmpty)
+  }
+
+  test("planQualities rejects tasks with different horizons") {
+    import spark.implicits._
+    val tasks = Vector(Task(0, 0.2, 0.2, 20), Task(1, 0.7, 0.7, 30))
+    val mixed = TcscGen.Scenario(tasks, Vector.empty, Vector.empty)
+    val execs = Seq(Execution(1, 25, 0, 1.0)).toDF()
+    val err = intercept[IllegalArgumentException] {
+      AssignPipeline.planQualities(spark, mixed, execs, params.k)
+    }
+    assert(err.getMessage.contains("20, 30"))
+  }
+
+  test("planQualities plans one shuffle and no join") {
+    import spark.implicits._
+    val (out, _) = TaskParallel.run(sc.instances, TcscGen.budgetFor(sc.instances, 0.25), params, 1)
+    val df = AssignPipeline.planQualities(spark, sc, out.executions.toDF(), params.k)
+    val plan = df.queryExecution.executedPlan match {
+      case a: AdaptiveSparkPlanExec => a.initialPlan
+      case p => p
+    }
+    val shuffles = plan.collect { case s: ShuffleExchangeExec => s }
+    val joins = plan.collect { case j: BaseJoinExec => j }
+    assert(shuffles.size == 1, s"expected one shuffle:\n$plan")
+    assert(joins.isEmpty, s"expected no join:\n$plan")
   }
 }

@@ -1,7 +1,9 @@
 package repro.spark
 
 import repro.{Oracle, SparkSpec}
-import repro.core.{ExecutedSet, Quality}
+import repro.core.{ExecutedSet, Quality, TcscParams}
+import repro.core.multi.TaskParallel
+import repro.data.TcscGen
 import scala.util.Random
 
 /** The Catalyst probability pipeline vs the core engine and the DuckDB
@@ -13,7 +15,7 @@ class ProbabilitySqlSpec extends SparkSpec {
   private val k = 3
   private val m = 20
 
-  private def frames(executedByTask: Map[Int, Seq[Int]]) = {
+  private def frames(executedByTask: Map[Int, Seq[Int]], m: Int = m) = {
     import spark.implicits._
     val taskIds = executedByTask.keys.toSeq.sorted
     val slots = taskIds.flatMap(t => (0 until m).map(s => (t, s))).toDF("task_id", "slot")
@@ -22,21 +24,34 @@ class ProbabilitySqlSpec extends SparkSpec {
     (slots, executed)
   }
 
+  /** Empty, fully executed, evenly spaced (equidistant ties), end-point and
+    * single-slot sets, then `nRandom` seeded random sets of every size.
+    */
+  private def executedSets(m: Int, seed: Long, nRandom: Int = 40): Map[Int, Seq[Int]] = {
+    val rnd = new Random(seed)
+    val all = 0 until m
+    val fixed = Seq(Seq.empty[Int], all, all.filter(_ % 4 == 0), Seq(0, m - 1).distinct,
+      Seq(m / 2), all.filter(_ % 2 == 1))
+    val random = Seq.fill(nRandom)(rnd.shuffle(all.toList).take(rnd.nextInt(m + 1)).sorted)
+    (fixed ++ random).zipWithIndex.map { case (ss, t) => t -> ss }.toMap
+  }
+
   test("pipeline matches the core metric slot by slot") {
-    val rnd = new Random(81)
-    val executedByTask = (0 until 4).map { t =>
-      t -> rnd.shuffle((0 until m).toList).take(rnd.nextInt(m)).sorted.toSeq
-    }.toMap
-    val (slots, executed) = frames(executedByTask)
-    val probs = ProbabilitySql.probabilities(spark, slots, executed, k, m)
-      .collect().map(r => (r.getInt(0), r.getInt(1)) -> r.getDouble(2)).toMap
-    for ((t, ss) <- executedByTask) {
-      val es = new ExecutedSet(m)
-      ss.foreach(es.add)
-      for (j <- 0 until m) {
-        val expected = Quality.finishProb(j, es, k)
-        assert(math.abs(probs((t, j)) - expected) < 1e-9,
-          s"task $t slot $j: spark=${probs((t, j))} core=$expected")
+    // (m, k): the default, k = 1, k = m, m = 2 < k = 3, and an odd m
+    for (((mm, kk), seed) <- Seq((20, 3), (20, 1), (20, 20), (2, 3), (9, 4)).zipWithIndex) {
+      val executedByTask = executedSets(mm, 81L + seed)
+      val (slots, executed) = frames(executedByTask, mm)
+      val probs = ProbabilitySql.probabilities(spark, slots, executed, kk, mm)
+        .collect().map(r => (r.getInt(0), r.getInt(1)) -> r.getDouble(2)).toMap
+      assert(probs.size == executedByTask.size * mm)
+      for ((t, ss) <- executedByTask) {
+        val es = new ExecutedSet(mm)
+        ss.foreach(es.add)
+        for (j <- 0 until mm) {
+          val expected = Quality.finishProb(j, es, kk)
+          assert(probs((t, j)) == expected,
+            s"m=$mm k=$kk task $t slot $j: spark=${probs((t, j))} core=$expected")
+        }
       }
     }
   }
@@ -57,6 +72,20 @@ class ProbabilitySqlSpec extends SparkSpec {
     val (slots, executed) = frames(executedByTask)
     val sparkDf = ProbabilitySql.probabilities(spark, slots, executed, 2, m)
     Oracle.assertEquivalent(sparkDf, ProbabilitySql.duckSql(2, m),
+      "slots" -> slots, "executed" -> executed)
+  }
+
+  test("oracle check at RunSparkAssign's sizes with a TaskParallel plan") {
+    import spark.implicits._
+    val params = TcscParams()
+    val sc = TcscGen.scenario(nTasks = 40, m = 80, nWorkers = 800, TcscGen.Uniform, seed = 88)
+    val budget = TcscGen.budgetFor(sc.instances, 0.25)
+    val (out, _) = TaskParallel.run(sc.instances, budget, params, threads = 1)
+    assert(out.executions.nonEmpty)
+    val slots = sc.tasks.flatMap(t => (0 until t.m).map((t.id, _))).toDF("task_id", "slot")
+    val executed = out.executions.map(e => (e.taskId, e.slot)).toDF("task_id", "slot")
+    val sparkDf = ProbabilitySql.probabilities(spark, slots, executed, params.k, 80)
+    Oracle.assertEquivalent(sparkDf, ProbabilitySql.duckSql(params.k, 80),
       "slots" -> slots, "executed" -> executed)
   }
 
