@@ -6,7 +6,10 @@ package repro.core
   *
   *  1. **Voronoi locality** (`QualityState`): marginal gains and commits are
   *     computed over the affected order-k Voronoi window only, not all m
-  *     slots.
+  *     slots. Each slot's k-NN distance sum and k-th-NN distance are cached
+  *     (the index's stored `knn(l)`/`knn(r)`), so a marginal gain is
+  *     O(window) array reads through a table of entropy terms; only a
+  *     commit walks the executed set.
   *  2. **Best-first search with upper-bound pruning** (`LazyGreedy` over one
   *     task at the static cost, refreshing one stale entry at a time): only
   *     candidates whose Voronoi window was dirtied since their last

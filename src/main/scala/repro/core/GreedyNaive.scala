@@ -31,7 +31,8 @@ final case class GreedyOutcome(result: AssignmentResult, stats: GreedyStats)
 object GreedyNaive {
   /** Naive marginal gain: ascending full-scan difference sum. The windowed
     * engine (`QualityState.deltaQ`) is bit-identical because excluded terms
-    * subtract to exactly 0.0.
+    * subtract to exactly 0.0 and its entropy table holds the same expression
+    * as `Quality.finishProb`.
     */
   def deltaQNaive(s: ExecutedSet, k: Int, t: Int): Double = {
     val m = s.m

@@ -5,10 +5,11 @@ import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 /** One task's state in a greedy run: its incremental quality, its singleton
-  * qualities and the plan so far.
+  * qualities and the plan so far. `ent` is `QualityState.entropyTable` of the
+  * task's (m, k); the tasks of a run share it (`TaskCtx.all`).
   */
-final class TaskCtx(val inst: TaskInstance, k: Int) {
-  val st = new QualityState(inst.m, k)
+final class TaskCtx(val inst: TaskInstance, k: Int, ent: Array[Double]) {
+  val st = new QualityState(inst.m, k, ent)
   val singles: Array[Double] = Singletons.qualities(inst.m, k)
   val order = Vector.newBuilder[Int]
   var spent = 0.0
@@ -16,6 +17,15 @@ final class TaskCtx(val inst: TaskInstance, k: Int) {
   def deltaQ(j: Int): Double =
     if (st.executedCount == 0) singles(j) else st.deltaQ(j)
   def result: AssignmentResult = AssignmentResult(order.result(), spent, st.quality)
+}
+
+object TaskCtx {
+  /** One context per task; the entropy table is built once per distinct m. */
+  def all(insts: IndexedSeq[TaskInstance], k: Int): IndexedSeq[TaskCtx] = {
+    val tables = mutable.HashMap.empty[Int, Array[Double]]
+    insts.map(inst => new TaskCtx(inst, k,
+      tables.getOrElseUpdate(inst.m, QualityState.entropyTable(inst.m, k))))
+  }
 }
 
 /** The lazy greedy behind Approx* (Section III-C, best-first search with
@@ -52,7 +62,7 @@ final class LazyGreedy(
 ) {
   import LazyGreedy._
 
-  val tasks: IndexedSeq[TaskCtx] = insts.map(new TaskCtx(_, k))
+  val tasks: IndexedSeq[TaskCtx] = TaskCtx.all(insts, k)
   var spent = 0.0
   /** Δq evaluations made by refreshes. */
   var evals = 0L
@@ -85,28 +95,16 @@ final class LazyGreedy(
 
   /** Executes `slot` of `task` at cost `c`. Every candidate of the task whose
     * Δq window can overlap the change is dirtied: [lo − Dmax, hi + Dmax],
-    * where [lo, hi] is the insert window and Dmax bounds the *pre-insert*
-    * k-th-NN distances inside it — pre-insert, because a candidate's
-    * marginal can lose terms whose pre-insert reach was wider than the
-    * post-insert one (DESIGN.md §6).
+    * where [lo, hi] is the insert window and Dmax the largest *pre-insert*
+    * cached k-th-NN distance inside it (`QualityState.dirtyRange`,
+    * DESIGN.md §6).
     */
   def commit(task: Int, slot: Int, c: Double): Unit = {
     version += 1
     val ctx = tasks(task)
     val st = ctx.st
-    val (lo, hi) = st.window(slot)
-    var dmax = 0
-    var unbounded = false
-    var j = lo
-    while (j <= hi && !unbounded) {
-      val d = st.executed.kthDist(j, k)
-      if (d == Int.MaxValue) unbounded = true else if (d > dmax) dmax = d
-      j += 1
-    }
+    val (from, to) = st.dirtyRange(slot)
     st.insert(slot)
-    val m = ctx.inst.m
-    val from = if (unbounded) 0 else math.max(0, lo - dmax)
-    val to = if (unbounded) m - 1 else math.min(m - 1, hi + dmax)
     java.util.Arrays.fill(dirtyVer(task), from, to + 1, version)
     ctx.order += slot
     ctx.spent += c

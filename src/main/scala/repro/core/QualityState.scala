@@ -4,27 +4,51 @@ package repro.core
   * Section III-C.
   *
   * Maintains, for the current executed set S, every slot's finishing
-  * probability contribution (`-p·log2 p`) and the total quality. The key
-  * observation (paper, "Locality of k-NN Searching"): tentatively executing
-  * slot `t` only changes the interpolation of slots `j` with
-  * `|j - t| < d_k(j)` where `d_k(j)` is j's current k-th-NN distance.
-  * Since `d_k` is 1-Lipschitz in `j` while `|j - t|` grows by exactly 1 per
-  * step, scanning outward from `t` until `|j - t| >= d_k(j)` visits exactly
-  * the affected window — the Voronoi-cell neighbourhood — so both what-if
-  * queries (`deltaQ`) and commits (`insert`) cost O(window · (log m + k))
-  * instead of O(m).
+  * probability contribution (`-p·log2 p`) and the total quality, plus the
+  * k-NN results of every slot, as the paper's index stores `knn(l)` and
+  * `knn(r)` per cell:
+  *  - `dsum(j)`: Eq 3's numerator, the sum of j's k-NN distances with each
+  *    footnote-2 phantom counted at distance m;
+  *  - `dk(j)`: j's k-th-NN distance, a phantom counted as m.
   *
-  * Floating-point determinism: window sums iterate slots in ascending order
-  * and the terms outside the window are exactly zero, so `deltaQ` is
+  * The key observation (paper, "Locality of k-NN Searching"): tentatively
+  * executing slot `t` only changes the interpolation of slots `j` with
+  * `|j - t| < dk(j)`, and for those t replaces the k-th neighbour, so the new
+  * numerator is `dsum(j) - dk(j) + |j - t|`. A phantom's m exceeds every
+  * `|j - t|` ≤ m - 1, so while fewer than k slots are executed every slot is
+  * affected. Since `dk` is 1-Lipschitz in `j` while `|j - t|` grows by exactly
+  * 1 per step, scanning outward from `t` until `|j - t| >= dk(j)` visits
+  * exactly the affected window — the Voronoi-cell neighbourhood.
+  *
+  * A what-if query (`deltaQ`) is therefore O(window) array reads: no k-NN
+  * walk and no logarithm, because each term reads `ent(s)`, a table of the
+  * contribution of every numerator s ∈ [0, k·m]. Only a commit (`insert`)
+  * walks the `ExecutedSet`, refreshing `dsum`, `dk` and the contribution of
+  * each slot of its window: O(window · (log n + k)) once per commit.
+  *
+  * Floating-point determinism: `ent(s)` is the exact expression
+  * `Quality.finishProb` evaluates, window sums iterate slots in ascending
+  * order and the terms outside the window are exactly zero, so `deltaQ` is
   * bit-identical to the naive full-scan marginal and Approx* picks the same
   * plan as Approx. The running `quality`, however, is a sum of per-commit
   * deltas, not an ascending sum over slots, so it can differ from
   * `recomputeFromScratch()` by a few ulps (up to 3.4e-14 at m = 300); tests
   * hold it within 1e-12.
+  *
+  * `ent` must be `QualityState.entropyTable(m, k)`; tasks of the same (m, k)
+  * share one.
   */
-final class QualityState(val m: Int, val k: Int) {
+final class QualityState(val m: Int, val k: Int, ent: Array[Double]) {
+  require(k.toLong * m < Int.MaxValue, s"k·m = ${k.toLong * m} overflows the numerator table")
+  require(ent.length == k * m + 1, s"entropy table of ${ent.length} entries, need ${k * m + 1}")
+
+  def this(m: Int, k: Int) = this(m, k, QualityState.entropyTable(m, k))
+
   val executed = new ExecutedSet(m)
-  private val contrib = new Array[Double](m) // current -p log2 p per slot
+  private val contrib = new Array[Double](m)      // current -p log2 p per slot
+  private val dsum = Array.fill(m)(k * m)         // Eq 3 numerator, phantoms at m
+  private val dk = Array.fill(m)(m)               // k-th-NN distance, phantom = m
+  private val self = Quality.contribution(1.0 / m)
   private var totalQ  = 0.0
 
   /** Cumulative number of slots visited by window scans (for pruning stats). */
@@ -38,38 +62,47 @@ final class QualityState(val m: Int, val k: Int) {
   /** Inclusive affected window [lo, hi] for a tentative execution at `t`,
     * derived from the Lipschitz stopping rule. `t` itself is included.
     */
-  def window(t: Int): (Int, Int) = {
+  def window(t: Int): (Int, Int) = (windowLo(t), windowHi(t))
+
+  private def windowLo(t: Int): Int = {
     var lo = t
-    var cont = true
-    while (cont && lo > 0) {
-      val j = lo - 1
-      val d = executed.kthDist(j, k)
-      if (d == Int.MaxValue || (t - j) < d) lo = j else cont = false
-    }
+    while (lo > 0 && t - (lo - 1) < dk(lo - 1)) lo -= 1
+    lo
+  }
+
+  private def windowHi(t: Int): Int = {
     var hi = t
-    cont = true
-    while (cont && hi < m - 1) {
-      val j = hi + 1
-      val d = executed.kthDist(j, k)
-      if (d == Int.MaxValue || (j - t) < d) hi = j else cont = false
-    }
-    (lo, hi)
+    while (hi < m - 1 && (hi + 1) - t < dk(hi + 1)) hi += 1
+    hi
+  }
+
+  /** Slots whose Δq can change when `t` is inserted, to call before
+    * `insert(t)`: [lo − Dmax, hi + Dmax] clipped to the task, where [lo, hi]
+    * is t's window and Dmax the largest *pre-insert* k-th-NN distance in it
+    * (a candidate's marginal can lose terms whose pre-insert reach was wider
+    * than the post-insert one). While a phantom remains Dmax is m: the full
+    * range.
+    */
+  def dirtyRange(t: Int): (Int, Int) = {
+    val lo = windowLo(t)
+    val hi = windowHi(t)
+    var dmax = 0
+    var j = lo
+    while (j <= hi) { if (dk(j) > dmax) dmax = dk(j); j += 1 }
+    (math.max(0, lo - dmax), math.min(m - 1, hi + dmax))
   }
 
   /** Exact marginal quality gain of executing slot `t`, without mutating. */
   def deltaQ(t: Int): Double = {
     require(!executed.contains(t), s"slot $t already executed")
-    val (lo, hi) = window(t)
+    val lo = windowLo(t)
+    val hi = windowHi(t)
+    slotsVisited += hi - lo + 1
     var dq = 0.0
     var j = lo
     while (j <= hi) {
-      slotsVisited += 1
-      if (j == t) {
-        dq += Quality.contribution(1.0 / m) - contrib(t)
-      } else if (!executed.contains(j)) {
-        val p = Quality.finishProb(j, executed, k, extra = t)
-        dq += Quality.contribution(p) - contrib(j)
-      }
+      if (j == t) dq += self - contrib(t)
+      else if (!executed.contains(j)) dq += ent(dsum(j) - dk(j) + math.abs(j - t)) - contrib(j)
       j += 1
     }
     dq
@@ -78,15 +111,17 @@ final class QualityState(val m: Int, val k: Int) {
   /** Commit execution of slot `t`; returns the realized quality gain. */
   def insert(t: Int): Double = {
     require(!executed.contains(t), s"slot $t already executed")
-    val (lo, hi) = window(t)
+    val lo = windowLo(t)
+    val hi = windowHi(t)
     executed.add(t)
+    slotsVisited += hi - lo + 1
     var dq = 0.0
     var j = lo
     while (j <= hi) {
-      slotsVisited += 1
-      val c =
-        if (executed.contains(j)) Quality.contribution(1.0 / m)
-        else Quality.contribution(Quality.finishProb(j, executed, k))
+      dsum(j) = executed.knnDistSum(j, k).toInt
+      val d = executed.kthDist(j, k)
+      dk(j) = if (d == Int.MaxValue) m else d
+      val c = if (executed.contains(j)) self else ent(dsum(j))
       dq += c - contrib(j)
       contrib(j) = c
       j += 1
@@ -101,5 +136,16 @@ final class QualityState(val m: Int, val k: Int) {
     var j = 0
     while (j < m) { q += Quality.contribution(Quality.finishProb(j, executed, k)); j += 1 }
     q
+  }
+}
+
+object QualityState {
+  /** `ent(s)`: the entropy contribution of an unexecuted slot whose Eq 3
+    * numerator is s, for s = 0 .. k·m — the expression `Quality.finishProb`
+    * evaluates, so every entry is bit-identical to it; `ent(k·m)` is 0.0.
+    */
+  def entropyTable(m: Int, k: Int): Array[Double] = {
+    require(k.toLong * m < Int.MaxValue, s"k·m = ${k.toLong * m} overflows the numerator table")
+    Array.tabulate(k * m + 1)(s => Quality.contribution((1.0 - s.toDouble / (k.toDouble * m)) / m))
   }
 }

@@ -67,7 +67,7 @@ object SerialMulti {
   private final class Eager(instances: Seq[TaskInstance], budget: Double, params: TcscParams) {
     private val t0 = System.nanoTime()
     val insts: IndexedSeq[TaskInstance] = instances.toIndexedSeq
-    val ctxs: IndexedSeq[TaskCtx] = insts.map(new TaskCtx(_, params.k))
+    val ctxs: IndexedSeq[TaskCtx] = TaskCtx.all(insts, params.k)
     private val pool = new WorkerPool
     private val execs = Vector.newBuilder[Execution]
     private var spent = 0.0

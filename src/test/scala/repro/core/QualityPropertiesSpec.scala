@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.data.TcscGen
 import scala.util.Random
 
 /** Property tests for the paper's Lemmas: monotonicity and submodularity of
@@ -97,6 +98,97 @@ class QualityPropertiesSpec extends AnyFunSuite {
           s"m=$m k=$k t=$t: windowed=$windowed naive=$naive")
       }
     }
+  }
+
+  /** The window rule on fresh `kthDist` walks, with "fewer than k executed"
+    * reaching every slot.
+    */
+  private def walkedWindow(s: ExecutedSet, k: Int, t: Int): (Int, Int) = {
+    def reaches(j: Int) = { val d = s.kthDist(j, k); d == Int.MaxValue || math.abs(j - t) < d }
+    var lo = t
+    while (lo > 0 && reaches(lo - 1)) lo -= 1
+    var hi = t
+    while (hi < s.m - 1 && reaches(hi + 1)) hi += 1
+    (lo, hi)
+  }
+
+  /** A commit's dirty range from fresh walks: [lo − Dmax, hi + Dmax] over the
+    * walked window, the whole task while any slot in it has fewer than k
+    * neighbours.
+    */
+  private def walkedDirtyRange(s: ExecutedSet, k: Int, t: Int): (Int, Int) = {
+    val (lo, hi) = walkedWindow(s, k, t)
+    val ds = (lo to hi).map(s.kthDist(_, k))
+    if (ds.contains(Int.MaxValue)) (0, s.m - 1)
+    else (math.max(0, lo - ds.max), math.min(s.m - 1, hi + ds.max))
+  }
+
+  /** The parent's windowed Δq on fresh walks: the ascending sum over the
+    * walked window of `finishProb` with and without `t`.
+    */
+  private def walkedDeltaQ(s: ExecutedSet, k: Int, t: Int): Double = {
+    val (lo, hi) = walkedWindow(s, k, t)
+    var dq = 0.0
+    for (j <- lo to hi) {
+      if (j == t) dq += Quality.contribution(1.0 / s.m) - Quality.contribution(Quality.finishProb(t, s, k))
+      else if (!s.contains(j))
+        dq += Quality.contribution(Quality.finishProb(j, s, k, extra = t)) -
+          Quality.contribution(Quality.finishProb(j, s, k))
+    }
+    dq
+  }
+
+  /** Inserts `order` into a fresh state; before every insert (and after the
+    * last), checks every free slot's Δq, window and dirty range against the
+    * uncached walks, and Δq against the naive full scan for the free slots
+    * with `(t + step) % naiveEvery == 0`.
+    */
+  private def checkHistory(m: Int, k: Int, order: Seq[Int], label: String,
+                           naiveEvery: Int = 1): Unit = {
+    val st = new QualityState(m, k)
+    def check(step: Int): Unit =
+      for (t <- 0 until m if !st.isExecuted(t)) {
+        def at = s"$label m=$m k=$k step=$step t=$t"
+        val got = java.lang.Double.doubleToRawLongBits(st.deltaQ(t))
+        val walked = java.lang.Double.doubleToRawLongBits(walkedDeltaQ(st.executed, k, t))
+        if (got != walked) fail(s"$at: deltaQ differs from the walked window sum")
+        if ((t + step) % naiveEvery == 0 &&
+            got != java.lang.Double.doubleToRawLongBits(GreedyNaive.deltaQNaive(st.executed, k, t)))
+          fail(s"$at: deltaQ differs from the naive marginal")
+        if (st.window(t) != walkedWindow(st.executed, k, t)) fail(s"$at: window")
+        if (st.dirtyRange(t) != walkedDirtyRange(st.executed, k, t)) fail(s"$at: dirty range")
+      }
+    order.zipWithIndex.foreach { case (t, step) => check(step); st.insert(t) }
+    check(order.length)
+  }
+
+  test("QualityState caches stay exact along whole insert histories") {
+    val rnd = new Random(19)
+    // Random orders, run to one free slot left (the empty set is step 0).
+    for (_ <- 0 until 40) {
+      val m = 1 + rnd.nextInt(40)
+      val k = 1 + rnd.nextInt(5)
+      checkHistory(m, k, rnd.shuffle((0 until m).toList).take(math.max(0, m - 1)), "random")
+    }
+    // m < k, k = 1 and k = m, over whole orders.
+    for ((m, k) <- Seq((2, 3), (1, 2), (30, 1), (12, 12), (25, 25))) {
+      checkHistory(m, k, rnd.shuffle((0 until m).toList), "edge")
+    }
+    // Evenly spaced sets first: every free slot between two is equidistant.
+    for ((m, k, gap) <- Seq((41, 1, 4), (41, 2, 4), (40, 3, 5), (37, 4, 6))) {
+      val spaced = (0 until m by gap).toList
+      checkHistory(m, k, spaced ++ rnd.shuffle((0 until m).filterNot(spaced.contains).toList), "spaced")
+    }
+  }
+
+  test("QualityState caches stay exact along Approx*'s commit order at m = 1000") {
+    val m = 1000
+    val inst = TcscGen.scenario(1, m, 2000, TcscGen.Uniform, 11).instances.head
+    val order = GreedyIndexed.run(inst, inst.fullCost * 0.25, TcscParams()).result.executedSlots
+    assert(order.size > 50)
+    // The naive marginal costs m finishing probabilities per slot, so at this
+    // size it checks one free slot in eight per step, a different eighth each step.
+    checkHistory(m, TcscParams().k, order, "approx*", naiveEvery = 8)
   }
 
   test("deltaQ equals the realized insert gain") {
