@@ -14,8 +14,10 @@ import scala.collection.immutable.ArraySeq
   * and shifts with `System.arraycopy` (O(n), n executed slots). In 1-D the k
   * nearest neighbours of j are among its k predecessors and k successors, so
   * every query is a two-cursor walk outward from `lowerBound(j)`.
-  * `knnDistSum` and `kthDist`, the per-slot queries of the quality engine,
-  * allocate nothing; `knn` returns the neighbour list itself.
+  * `knnDistSum` and `kthDist` allocate nothing; `knn` returns the neighbour
+  * list itself. `QualityState` keeps its own k-NN distances and only uses
+  * the set for membership; the walks serve the oracles: Approx
+  * (`Quality.finishProb`), naive MMQM, `QualityTree` and the tests.
   */
 final class ExecutedSet(val m: Int) {
   private val slots  = new Array[Int](m)

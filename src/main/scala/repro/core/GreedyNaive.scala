@@ -5,7 +5,9 @@ package repro.core
   * `candidateEvaluations` counts Δq computations; `slotsVisited` counts slot
   * touches inside those computations; `heuristicNanos` / `updateNanos` split
   * time between finding the max heuristic value and committing/updating the
-  * index, mirroring the paper's cost breakdown (Fig 8 (c)).
+  * index, mirroring the paper's cost breakdown (Fig 8 (c)). `treeNanos` is
+  * 0 on both variants: neither builds a `QualityTree` (`QualityTree.replay`
+  * times one).
   */
 final case class GreedyStats(
     iterations: Int,

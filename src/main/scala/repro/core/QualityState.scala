@@ -5,14 +5,16 @@ package repro.core
   *
   * Maintains, for the current executed set S, every slot's finishing
   * probability contribution (`-p·log2 p`) and the total quality, plus the
-  * k-NN results of every slot, as the paper's index stores `knn(l)` and
-  * `knn(r)` per cell:
-  *  - `dsum(j)`: Eq 3's numerator, the sum of j's k-NN distances with each
-  *    footnote-2 phantom counted at distance m;
-  *  - `dk(j)`: j's k-th-NN distance, a phantom counted as m.
+  * k-NN results of every slot, as the paper's index stores
+  * ⟨k-set, knn(l), knn(r)⟩ per cell:
+  *  - `near`: j's k nearest executed distances, ascending, in row j of one
+  *    m × k array, each footnote-2 phantom counted at distance m; an
+  *    executed j counts itself at distance 0;
+  *  - `dsum(j)`: Eq 3's numerator, the sum of row j;
+  *  - `dk(j)`: j's k-th-NN distance, the last entry of row j.
   *
-  * The key observation (paper, "Locality of k-NN Searching"): tentatively
-  * executing slot `t` only changes the interpolation of slots `j` with
+  * The key observation (paper, "Locality of k-NN Searching"): executing
+  * slot `t` only changes the k-NN distances of slots `j` with
   * `|j - t| < dk(j)`, and for those t replaces the k-th neighbour, so the new
   * numerator is `dsum(j) - dk(j) + |j - t|`. A phantom's m exceeds every
   * `|j - t|` ≤ m - 1, so while fewer than k slots are executed every slot is
@@ -22,9 +24,11 @@ package repro.core
   *
   * A what-if query (`deltaQ`) is therefore O(window) array reads: no k-NN
   * walk and no logarithm, because each term reads `ent(s)`, a table of the
-  * contribution of every numerator s ∈ [0, k·m]. Only a commit (`insert`)
-  * walks the `ExecutedSet`, refreshing `dsum`, `dk` and the contribution of
-  * each slot of its window: O(window · (log n + k)) once per commit.
+  * contribution of every numerator s ∈ [0, k·m]. A commit (`insert`) makes
+  * no walk either: for each j of the window, `t` itself included at
+  * distance 0, it drops the last entry of row j and sorts `|j - t|` into
+  * it, which yields the new `dsum(j)` and `dk(j)`: O(window · k) per
+  * commit. `ExecutedSet`'s walks serve only the oracles.
   *
   * Floating-point determinism: `ent(s)` is the exact expression
   * `Quality.finishProb` evaluates, window sums iterate slots in ascending
@@ -39,6 +43,7 @@ package repro.core
   * share one.
   */
 final class QualityState(val m: Int, val k: Int, ent: Array[Double]) {
+  require(k >= 1, s"k = $k, need k >= 1")
   require(k.toLong * m < Int.MaxValue, s"k·m = ${k.toLong * m} overflows the numerator table")
   require(ent.length == k * m + 1, s"entropy table of ${ent.length} entries, need ${k * m + 1}")
 
@@ -46,6 +51,7 @@ final class QualityState(val m: Int, val k: Int, ent: Array[Double]) {
 
   val executed = new ExecutedSet(m)
   private val contrib = new Array[Double](m)      // current -p log2 p per slot
+  private val near = Array.fill(m * k)(m)         // row j: k-NN distances, ascending
   private val dsum = Array.fill(m)(k * m)         // Eq 3 numerator, phantoms at m
   private val dk = Array.fill(m)(m)               // k-th-NN distance, phantom = m
   private val self = Quality.contribution(1.0 / m)
@@ -58,6 +64,10 @@ final class QualityState(val m: Int, val k: Int, ent: Array[Double]) {
   def contributionOf(j: Int): Double = contrib(j)
   def executedCount: Int = executed.size
   def isExecuted(j: Int): Boolean = executed.contains(j)
+
+  /** Cached Eq 3 numerator and k-th-NN distance of `j` (tests). */
+  private[core] def cachedDistSum(j: Int): Int = dsum(j)
+  private[core] def cachedKthDist(j: Int): Int = dk(j)
 
   /** Inclusive affected window [lo, hi] for a tentative execution at `t`,
     * derived from the Lipschitz stopping rule. `t` itself is included.
@@ -118,9 +128,14 @@ final class QualityState(val m: Int, val k: Int, ent: Array[Double]) {
     var dq = 0.0
     var j = lo
     while (j <= hi) {
-      dsum(j) = executed.knnDistSum(j, k).toInt
-      val d = executed.kthDist(j, k)
-      dk(j) = if (d == Int.MaxValue) m else d
+      // |j - t| < dk(j): it replaces the row's last entry, then sorts down.
+      val d = math.abs(j - t)
+      val row = j * k
+      var i = k - 1
+      while (i > 0 && near(row + i - 1) > d) { near(row + i) = near(row + i - 1); i -= 1 }
+      near(row + i) = d
+      dsum(j) += d - dk(j)
+      dk(j) = near(row + k - 1)
       val c = if (executed.contains(j)) self else ent(dsum(j))
       dq += c - contrib(j)
       contrib(j) = c

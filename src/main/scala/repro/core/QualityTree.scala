@@ -26,7 +26,9 @@ import scala.collection.mutable.ArrayBuffer
   * only the touched ones (Case 1), mirroring aggregated-tree maintenance.
   *
   * Counters (`nodesBuilt`, `nodesVisited`, `nodesSkipped`) feed the index
-  * cost breakdown of the evaluation (Fig 8 (c)/(e)).
+  * cost breakdown of the evaluation (Fig 8 (c)/(e)). No selection reads the
+  * tree, so Approx* does not maintain it: `QualityTree.replay` rebuilds it
+  * from a finished commit order.
   */
 final class QualityTree(val m: Int, val k: Int, val ts: Int) {
 
@@ -133,5 +135,20 @@ final class QualityTree(val m: Int, val k: Int, val ts: Int) {
       if (n.isLeaf) out += ((n.l, n.r)) else { go(n.left); go(n.right) }
     if (root != null) go(root)
     out.toVector
+  }
+}
+
+object QualityTree {
+  /** Builds the tree over no executed slots, then inserts `order` one slot at
+    * a time, as the greedy commits them: the index upkeep of the paper's
+    * Fig 8 (c)/(e), off the greedy's path. Returns the tree and the
+    * nanoseconds the build and the inserts took.
+    */
+  def replay(m: Int, k: Int, ts: Int, order: Seq[Int]): (QualityTree, Long) = {
+    val t0 = System.nanoTime()
+    val tree = new QualityTree(m, k, ts)
+    tree.rebuild()
+    order.foreach(tree.insert)
+    (tree, System.nanoTime() - t0)
   }
 }

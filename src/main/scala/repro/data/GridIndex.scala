@@ -1,7 +1,5 @@
 package repro.data
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Uniform-grid spatial index over points in the unit square with
   * ring-expansion k-NN search.
   *
@@ -9,16 +7,29 @@ import scala.collection.mutable.ArrayBuffer
   * query inspects grid cells in growing rings around the query cell and
   * stops as soon as the best k distances cannot be beaten by any unvisited
   * ring (ring lower-bound pruning), so dense instances avoid the O(n) scan.
+  *
+  * The buckets are one counting-sorted `Int` array of point indices with
+  * per-cell offsets, and a query keeps its best k in two primitive arrays,
+  * so neither building nor querying boxes a value.
   */
 final class GridIndex(xs: Array[Double], ys: Array[Double], ids: Array[Int], cells: Int) {
   require(xs.length == ys.length && ys.length == ids.length)
   private val cellSize = 1.0 / cells
-  private val buckets = Array.fill(cells * cells)(new ArrayBuffer[Int]) // point indices
+  // Point indices of cell c: order(start(c) until start(c + 1)), ascending.
+  private val start = new Array[Int](cells * cells + 1)
+  private val order = new Array[Int](xs.length)
 
   locally {
     var i = 0
+    while (i < xs.length) { start(cellOf(xs(i), ys(i)) + 1) += 1; i += 1 }
+    var c = 0
+    while (c < cells * cells) { start(c + 1) += start(c); c += 1 }
+    val fill = java.util.Arrays.copyOf(start, cells * cells)
+    i = 0
     while (i < xs.length) {
-      buckets(cellOf(xs(i), ys(i))) += i
+      val c = cellOf(xs(i), ys(i))
+      order(fill(c)) = i
+      fill(c) += 1
       i += 1
     }
   }
@@ -30,30 +41,18 @@ final class GridIndex(xs: Array[Double], ys: Array[Double], ids: Array[Int], cel
     clampCell((y / cellSize).toInt) * cells + clampCell((x / cellSize).toInt)
 
   /** Ids and distances of the k nearest points to (x, y), ascending by
-    * (distance, id) — the id tie-break keeps results deterministic.
+    * (distance, id) — the id tie-break keeps results deterministic. Fewer
+    * than k when the index holds fewer points; empty for k = 0.
     */
   def knn(x: Double, y: Double, k: Int): (Array[Int], Array[Double]) = {
-    if (size == 0) return (Array.empty, Array.empty)
+    require(k >= 0, s"k = $k")
+    if (size == 0 || k == 0) return (Array.empty, Array.empty)
     val cx = clampCell((x / cellSize).toInt)
     val cy = clampCell((y / cellSize).toInt)
-    // (dist, id, index) of current best candidates, kept sorted ascending.
-    val best = new ArrayBuffer[(Double, Int)](k + 1)
-    def consider(i: Int): Unit = {
-      val dx = xs(i) - x; val dy = ys(i) - y
-      val d = math.sqrt(dx * dx + dy * dy)
-      val key = (d, ids(i))
-      var pos = best.length
-      var j = 0
-      var placed = false
-      while (j < best.length && !placed) {
-        if (Ordering[(Double, Int)].lt(key, best(j))) { pos = j; placed = true }
-        j += 1
-      }
-      if (best.length < k || pos < best.length) {
-        best.insert(pos, key)
-        if (best.length > k) best.remove(best.length - 1)
-      }
-    }
+    // The current best, sorted ascending by (distance, id).
+    val bestD = new Array[Double](k)
+    val bestId = new Array[Int](k)
+    var n = 0
     var ring = 0
     var done = false
     val maxRing = cells // worst case covers the whole grid
@@ -65,9 +64,24 @@ final class GridIndex(xs: Array[Double], ys: Array[Double], ids: Array[Int], cel
         while (xx <= cx + ring) {
           val onRing = math.max(math.abs(xx - cx), math.abs(yy - cy)) == ring
           if (onRing && xx >= 0 && xx < cells && yy >= 0 && yy < cells) {
-            val b = buckets(yy * cells + xx)
-            var t = 0
-            while (t < b.length) { consider(b(t)); t += 1 }
+            val c = yy * cells + xx
+            var t = start(c)
+            while (t < start(c + 1)) {
+              val i = order(t)
+              val dx = xs(i) - x; val dy = ys(i) - y
+              val d = math.sqrt(dx * dx + dy * dy)
+              val id = ids(i)
+              if (n < k || d < bestD(k - 1) || (d == bestD(k - 1) && id < bestId(k - 1))) {
+                // Insert at the end (dropping the k-th when full), sort down.
+                var p = if (n < k) n else k - 1
+                while (p > 0 && (d < bestD(p - 1) || (d == bestD(p - 1) && id < bestId(p - 1)))) {
+                  bestD(p) = bestD(p - 1); bestId(p) = bestId(p - 1); p -= 1
+                }
+                bestD(p) = d; bestId(p) = id
+                if (n < k) n += 1
+              }
+              t += 1
+            }
           }
           xx += 1
         }
@@ -75,22 +89,23 @@ final class GridIndex(xs: Array[Double], ys: Array[Double], ids: Array[Int], cel
       }
       // Prune: any point in ring r+1 is at least r*cellSize away (points in
       // the current ring's cells can still be closer than the ring bound).
-      if (best.length >= k && best(k - 1)._1 <= ring * cellSize) done = true
+      if (n == k && bestD(k - 1) <= ring * cellSize) done = true
       ring += 1
     }
-    (best.map(_._2).toArray, best.map(_._1).toArray)
+    if (n == k) (bestId, bestD)
+    else (java.util.Arrays.copyOf(bestId, n), java.util.Arrays.copyOf(bestD, n))
   }
 }
 
 object GridIndex {
-  /** Build an index sized so the average bucket holds a handful of points. */
-  def apply(points: Seq[(Int, Double, Double)]): GridIndex = {
-    val n = math.max(1, points.size)
-    val cells = math.max(1, math.min(128, math.sqrt(n / 4.0).toInt))
+  /** Grid side for n points, so the average bucket holds a handful. */
+  def cellsFor(n: Int): Int = math.max(1, math.min(128, math.sqrt(math.max(1, n) / 4.0).toInt))
+
+  /** Build an index over (id, x, y) points, sized by `cellsFor`. */
+  def apply(points: Seq[(Int, Double, Double)]): GridIndex =
     new GridIndex(
       points.map(_._2).toArray,
       points.map(_._3).toArray,
       points.map(_._1).toArray,
-      cells)
-  }
+      cellsFor(points.size))
 }

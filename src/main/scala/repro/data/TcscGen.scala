@@ -103,12 +103,26 @@ object TcscGen {
     }
   }
 
-  /** Per-slot spatial indexes over the available workers. */
+  /** Per-slot spatial indexes over the available workers. A counting pass
+    * buckets the presences by slot, keeping their order, into primitive
+    * arrays; presences with a slot outside [0, m) are dropped.
+    */
   def slotIndexes(ws: Vector[WorkerAt], m: Int): Array[GridIndex] = {
-    val bySlot = ws.groupBy(_.slot)
-    Array.tabulate(m) { s =>
-      GridIndex(bySlot.getOrElse(s, Vector.empty).map(w => (w.workerId, w.x, w.y)))
+    val count = new Array[Int](m)
+    ws.foreach(w => if (w.slot >= 0 && w.slot < m) count(w.slot) += 1)
+    val xs = Array.tabulate(m)(s => new Array[Double](count(s)))
+    val ys = Array.tabulate(m)(s => new Array[Double](count(s)))
+    val ids = Array.tabulate(m)(s => new Array[Int](count(s)))
+    java.util.Arrays.fill(count, 0)
+    ws.foreach { w =>
+      val s = w.slot
+      if (s >= 0 && s < m) {
+        val i = count(s)
+        xs(s)(i) = w.x; ys(s)(i) = w.y; ids(s)(i) = w.workerId
+        count(s) = i + 1
+      }
     }
+    Array.tabulate(m)(s => new GridIndex(xs(s), ys(s), ids(s), GridIndex.cellsFor(count(s))))
   }
 
   /** Materialize a single-task instance: for each slot, the `maxRank`

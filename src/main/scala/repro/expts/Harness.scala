@@ -10,11 +10,20 @@ package repro.expts
   */
 object Harness {
 
-  /** Wall-clock a thunk in milliseconds. */
+  /** Wall-clock a thunk in milliseconds, once and cold. */
   def timeMs[A](f: => A): (A, Double) = {
     val t0 = System.nanoTime()
     val a = f
     (a, (System.nanoTime() - t0) / 1e6)
+  }
+
+  /** Warmed wall-clock: one untimed run of `f`, then 5 timed runs; returns
+    * the last run's value and the median time in milliseconds.
+    */
+  def medianMs[A](f: => A): (A, Double) = {
+    f
+    val timed = Vector.fill(5)(timeMs(f))
+    (timed.last._1, timed.map(_._2).sorted.apply(2))
   }
 
   /** Render one table row with padded columns. */

@@ -16,7 +16,10 @@ import Harness.Cell
   * Sweeps are scaled to the container (m ∈ {100, 300, 500}, plus the paper's
   * m = 1000 in (a); the paper used {300, 500, 1000} on a 256 GB Xeon) — see
   * EXPERIMENTS.md for the mapping.
-  * Each point averages `reps` independent task instances.
+  * Each point averages `reps` independent task instances; each instance's
+  * time is `Harness.medianMs`, the median of 5 runs after one warm-up run.
+  * Approx* builds no `QualityTree`, so (c)'s tree column and (e) replay its
+  * commit order into one (`QualityTree.replay`), timed the same way.
   */
 object T8SingleEfficiency {
 
@@ -27,21 +30,34 @@ object T8SingleEfficiency {
     def instances(m: Int, nW: Int, dist: TcscGen.Dist): Seq[TaskInstance] =
       TcscGen.scenario(reps, m, nW, dist, seed).instances
 
-    /** Average (naiveMs, starMs, starOutcome of last rep). */
+    /** Average (naiveMs, starMs) and each instance's Approx* outcome. */
     def measure(insts: Seq[TaskInstance], frac: Double, params: TcscParams,
                 runNaive: Boolean = true): (Double, Double, Seq[GreedyIndexed.IndexedOutcome]) = {
       var nMs = 0.0; var sMs = 0.0
       val outs = insts.map { inst =>
         val b = inst.fullCost * frac
         if (runNaive) {
-          val (_, t) = Harness.timeMs(GreedyNaive.run(inst, b, params))
+          val (_, t) = Harness.medianMs(GreedyNaive.run(inst, b, params))
           nMs += t
         }
-        val (o, t2) = Harness.timeMs(GreedyIndexed.run(inst, b, params))
+        val (o, t2) = Harness.medianMs(GreedyIndexed.run(inst, b, params))
         sMs += t2
         o
       }
       (nMs / insts.size, sMs / insts.size, outs)
+    }
+
+    /** Average warmed replay time (ms) and node count of the tree built
+      * along each outcome's commit order.
+      */
+    def treeCost(insts: Seq[TaskInstance], outs: Seq[GreedyIndexed.IndexedOutcome],
+                 params: TcscParams): (Double, Double) = {
+      val runs = insts.zip(outs).map { case (inst, o) =>
+        val order = o.result.executedSlots
+        val ((tree, _), ms) = Harness.medianMs(QualityTree.replay(inst.m, params.k, params.ts, order))
+        (ms, tree.nodeCount.toDouble)
+      }
+      (runs.map(_._1).sum / runs.size, runs.map(_._2).sum / runs.size)
     }
 
     // (a) time vs m --------------------------------------------------------
@@ -60,10 +76,11 @@ object T8SingleEfficiency {
 
     // (c) breakdown at defaults -------------------------------------------
     locally {
-      val (n, s, outs) = measure(instances(300, 1000, TcscGen.Uniform), 0.25, defaultParams)
+      val insts = instances(300, 1000, TcscGen.Uniform)
+      val (n, s, outs) = measure(insts, 0.25, defaultParams)
       val heur = outs.map(_.stats.heuristicNanos).sum / outs.size / 1e6
       val upd  = outs.map(_.stats.updateNanos).sum / outs.size / 1e6
-      val tree = outs.map(_.stats.treeNanos).sum / outs.size / 1e6
+      val (tree, _) = treeCost(insts, outs, defaultParams)
       cells += Cell("Fig8c:breakdown", "m=300", "Approx_total", n)
       cells += Cell("Fig8c:breakdown", "m=300", "Approx*_total", s)
       cells += Cell("Fig8c:breakdown", "m=300", "Approx*_heuristic", heur)
@@ -85,12 +102,12 @@ object T8SingleEfficiency {
 
     // (e) tree cost vs t_s -------------------------------------------------
     for (ts <- Seq(2, 4, 8, 16)) {
-      val (_, _, outs) = measure(instances(300, 1000, TcscGen.Uniform), 0.25,
-        TcscParams(ts = ts), runNaive = false)
-      cells += Cell("Fig8e:tree_vs_ts", ts.toString, "tree_ms",
-        outs.map(_.stats.treeNanos).sum / outs.size / 1e6)
-      cells += Cell("Fig8e:tree_vs_ts", ts.toString, "tree_nodes",
-        outs.map(_.treeNodeCount.toDouble).sum / outs.size)
+      val insts = instances(300, 1000, TcscGen.Uniform)
+      val params = TcscParams(ts = ts)
+      val (_, _, outs) = measure(insts, 0.25, params, runNaive = false)
+      val (ms, nodes) = treeCost(insts, outs, params)
+      cells += Cell("Fig8e:tree_vs_ts", ts.toString, "tree_ms", ms)
+      cells += Cell("Fig8e:tree_vs_ts", ts.toString, "tree_nodes", nodes)
     }
 
     // (f) time vs distribution --------------------------------------------

@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.TcscGen
 
-/** Approx* bookkeeping: stats, tree maintenance, edge cases. */
+/** Approx* bookkeeping: stats, the replayed tree, edge cases. */
 class GreedyIndexedStatsSpec extends AnyFunSuite {
   private val params = TcscParams()
 
@@ -24,10 +24,33 @@ class GreedyIndexedStatsSpec extends AnyFunSuite {
 
   test("tree is maintained and sized by t_s") {
     val i = inst(120, 3)
-    val big = GreedyIndexed.run(i, i.fullCost * 0.25, TcscParams(ts = 2))
-    val small = GreedyIndexed.run(i, i.fullCost * 0.25, TcscParams(ts = 16))
-    assert(big.treeNodeCount > small.treeNodeCount)
-    assert(big.stats.treeNanos > 0)
+    val out = GreedyIndexed.run(i, i.fullCost * 0.25, params)
+    // Approx* itself builds no tree; the replay of its commit order does.
+    assert(out.treeNodeCount == 0 && out.stats.treeNanos == 0L)
+    val order = out.result.executedSlots
+    assert(order.size > 10)
+    val (big, bigNanos) = QualityTree.replay(i.m, params.k, 2, order)
+    val (small, _) = QualityTree.replay(i.m, params.k, 16, order)
+    assert(big.nodeCount > small.nodeCount)
+    assert(bigNanos > 0)
+    assert(big.executedSet.toVector == order.sorted)
+    assert(math.abs(big.quality - out.result.quality) < 1e-9)
+    assert(math.abs(big.quality - big.recomputeFromScratch()) < 1e-9)
+  }
+
+  test("Approx* counters are pinned on three seeded instances") {
+    // (m, |W|, distribution, seed, budget fraction, k) → (iterations,
+    // candidate evaluations, slots visited), measured on the first task.
+    val pinned = Seq(
+      ((300, 1000, TcscGen.Uniform, 1L, 0.25, 3), (119, 1998L, 102513L)),
+      ((1000, 2000, TcscGen.Uniform, 11L, 0.25, 3), (416, 7575L, 842850L)),
+      ((200, 800, TcscGen.Zipf, 7L, 0.5, 2), (142, 1179L, 38750L)))
+    for (((m, nW, dist, seed, frac, k), (it, evals, visited)) <- pinned) {
+      val i = TcscGen.scenario(2, m, nW, dist, seed).instances.head
+      val s = GreedyIndexed.run(i, i.fullCost * frac, TcscParams(k = k)).stats
+      assert((s.iterations, s.candidateEvaluations, s.slotsVisited) == ((it, evals, visited)),
+        s"m=$m seed=$seed")
+    }
   }
 
   test("candidate evaluations stay well below the naive count") {

@@ -3,8 +3,8 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
-/** The cached kernel of `QualityState`: its entropy table, its size guard and
-  * an allocation-free Δq.
+/** The cached kernel of `QualityState`: its entropy table, its size guard,
+  * an allocation-free Δq and a walk-free, allocation-free insert.
   */
 class QualityStateSpec extends AnyFunSuite {
 
@@ -78,5 +78,68 @@ class QualityStateSpec extends AnyFunSuite {
     val allocated = threads.getThreadAllocatedBytes(id) - before
     assert(checksum > 0)
     assert(allocated < 64 * 1024, s"$allocated bytes allocated by 100k deltaQ calls")
+  }
+
+  /** After every insert of `order`, every slot's cached numerator and k-th
+    * distance must equal fresh walks (a k-th distance of "fewer than k" is m).
+    */
+  private def checkCaches(m: Int, k: Int, order: Seq[Int], label: String): Unit = {
+    val st = new QualityState(m, k)
+    def check(step: Int): Unit =
+      for (j <- 0 until m) {
+        val sum = st.executed.knnDistSum(j, k)
+        val kth = st.executed.kthDist(j, k)
+        if (st.cachedDistSum(j) != sum || st.cachedKthDist(j) != (if (kth == Int.MaxValue) m else kth))
+          fail(s"$label m=$m k=$k step=$step j=$j: cached (${st.cachedDistSum(j)}, " +
+            s"${st.cachedKthDist(j)}), walked ($sum, $kth)")
+      }
+    check(0)
+    order.zipWithIndex.foreach { case (t, step) => st.insert(t); check(step + 1) }
+  }
+
+  test("insert keeps every cached distance sum and k-th distance equal to the walks") {
+    val rnd = new Random(22)
+    // Seeded whole histories: every prefix, so fewer than k executed too.
+    for (_ <- 0 until 60) {
+      val m = 1 + rnd.nextInt(60)
+      val k = 1 + rnd.nextInt(5)
+      checkCaches(m, k, rnd.shuffle((0 until m).toList), "random")
+    }
+    // m = 1, m < k, k = m, and evenly spaced sets first (equidistant ties).
+    for ((m, k) <- Seq((1, 1), (1, 3), (2, 3), (3, 7), (12, 12)))
+      checkCaches(m, k, rnd.shuffle((0 until m).toList), "edge")
+    for ((m, k, gap) <- Seq((41, 1, 4), (41, 2, 4), (40, 3, 5)))
+      checkCaches(m, k, (0 until m by gap) ++ (0 until m).filter(_ % gap != 0), "spaced")
+    // A long history at the benchmark's size, stopped while slots are free.
+    checkCaches(1000, 3, rnd.shuffle((0 until 1000).toList).take(300), "m=1000")
+  }
+
+  test("insert allocates nothing") {
+    val threads = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    assume(threads.isThreadAllocatedMemorySupported)
+    threads.setThreadAllocatedMemoryEnabled(true)
+    val (m, k, perState) = (1000, 3, 400)
+    val order = new Random(23).shuffle((0 until m).toList).toArray
+    val ent = QualityState.entropyTable(m, k)
+    /** `perState` inserts into each of `states`; a checksum keeps them live. */
+    def inserts(states: Array[QualityState]): Double = {
+      var acc = 0.0
+      var s = 0
+      while (s < states.length) {
+        var i = 0
+        while (i < perState) { acc += states(s).insert(order(i)); i += 1 }
+        s += 1
+      }
+      acc
+    }
+    inserts(Array.fill(500)(new QualityState(m, k, ent))) // warm-up: class loading and JIT
+    val states = Array.fill(100000 / perState)(new QualityState(m, k, ent))
+    val id = Thread.currentThread.getId
+    val before = threads.getThreadAllocatedBytes(id)
+    val checksum = inserts(states)
+    val allocated = threads.getThreadAllocatedBytes(id) - before
+    assert(checksum > 0)
+    assert(allocated < 64 * 1024, s"$allocated bytes allocated by 100k insert calls")
   }
 }

@@ -37,7 +37,7 @@ class GridIndexSpec extends AnyFunSuite {
         val (ids, ds) = idx.knn(qx, qy, k)
         val expected = brute(pts, qx, qy, k)
         assert(ids.toSeq == expected.map(_._1), s"n=$n q=($qx,$qy) k=$k")
-        ids.indices.foreach(i => assert(math.abs(ds(i) - expected(i)._2) < 1e-12))
+        assert(ds.toSeq == expected.map(_._2), s"n=$n q=($qx,$qy) k=$k")
       }
     }
   }
@@ -46,6 +46,32 @@ class GridIndexSpec extends AnyFunSuite {
     val pts = Seq((1, 0.1, 0.1), (2, 0.9, 0.9))
     val (ids, _) = GridIndex(pts).knn(0.0, 0.0, 10)
     assert(ids.toSet == Set(1, 2))
+  }
+
+  test("ties break by id: duplicate coordinates and equidistant points") {
+    val rnd = new Random(43)
+    for (_ <- 0 until 40) {
+      // Points on a coarse lattice, with several ids per position, queried
+      // at lattice points and cell centres: many exact distance ties.
+      val n = 1 + rnd.nextInt(120)
+      val pts = rnd.shuffle((0 until n).toList).map(id =>
+        (id, rnd.nextInt(5) / 4.0, rnd.nextInt(5) / 4.0))
+      val idx = GridIndex(pts)
+      for (qx <- Seq(0.0, 0.125, 0.5, 0.625, 1.0); qy <- Seq(0.0, 0.375, 0.5);
+           k <- Seq(0, 1, 3, n, n + 5)) {
+        val (ids, ds) = idx.knn(qx, qy, k)
+        val expected = brute(pts, qx, qy, k)
+        assert(ids.toSeq == expected.map(_._1), s"n=$n q=($qx,$qy) k=$k")
+        assert(ds.toSeq == expected.map(_._2), s"n=$n q=($qx,$qy) k=$k")
+      }
+    }
+  }
+
+  test("k = 0 returns nothing; a negative k is rejected") {
+    val pts = Seq((1, 0.1, 0.1), (2, 0.9, 0.9))
+    val (ids, ds) = GridIndex(pts).knn(0.5, 0.5, 0)
+    assert(ids.isEmpty && ds.isEmpty)
+    intercept[IllegalArgumentException](GridIndex(pts).knn(0.5, 0.5, -1))
   }
 
   test("distances are ascending") {

@@ -1,6 +1,8 @@
 package repro.data
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Task
+import scala.util.Random
 
 /** Determinism and shape checks for the TCSC instance generator. */
 class TcscGenSpec extends AnyFunSuite {
@@ -100,6 +102,56 @@ class TcscGenSpec extends AnyFunSuite {
       inst.slots.zipWithIndex.foreach { case (s, j) =>
         s.workers.foreach(w => assert(presence.contains((w, j)), s"worker $w slot $j"))
       }
+    }
+  }
+
+  /** Each slot's `maxRank` nearest presences by brute force, ascending by
+    * (distance, worker id), with the distance expression `GridIndex` uses.
+    */
+  private def bruteCandidates(ws: Seq[TcscGen.WorkerAt], task: Task,
+                              maxRank: Int): Seq[(Seq[Int], Seq[Double])] =
+    (0 until task.m).map { s =>
+      val best = ws.filter(_.slot == s).map { w =>
+        val dx = w.x - task.x; val dy = w.y - task.y
+        (math.sqrt(dx * dx + dy * dy), w.workerId)
+      }.sortWith((a, b) => a._1 < b._1 || (a._1 == b._1 && a._2 < b._2)).take(maxRank)
+      (best.map(_._2), best.map(_._1))
+    }
+
+  test("slotIndexes + instance equal a brute-force candidate list") {
+    val rnd = new Random(13)
+    for (seed <- 0L until 12L) {
+      val m = 5 + rnd.nextInt(40)
+      // Slot 2 is emptied, so at least one slot has no workers.
+      val ws = TcscGen.workers(5 + rnd.nextInt(200), m, seed).filter(_.slot != 2)
+      val idx = TcscGen.slotIndexes(ws, m)
+      assert(idx(2).size == 0)
+      for (_ <- 0 until 4; maxRank <- Seq(0, 1, 3, 12, 500)) {
+        val task = Task(0, rnd.nextDouble(), rnd.nextDouble(), m)
+        val inst = TcscGen.instance(task, idx, maxRank)
+        val want = bruteCandidates(ws, task, maxRank)
+        for (s <- 0 until m) {
+          assert(inst.slots(s).workers.toSeq == want(s)._1, s"seed=$seed slot=$s rank=$maxRank")
+          assert(inst.slots(s).costs.toSeq == want(s)._2, s"seed=$seed slot=$s rank=$maxRank")
+        }
+      }
+    }
+  }
+
+  test("presences with a slot outside [0, m) are dropped") {
+    val m = 10
+    val ws = TcscGen.workers(60, m, seed = 14)
+    val stray = Vector(TcscGen.WorkerAt(900, -1, 0.5, 0.5), TcscGen.WorkerAt(901, m, 0.5, 0.5),
+      TcscGen.WorkerAt(902, m + 7, 0.4, 0.6))
+    val idx = TcscGen.slotIndexes(stray ++ ws ++ stray, m)
+    assert(idx.length == m)
+    assert(idx.map(_.size).sum == ws.size)
+    val task = Task(0, 0.5, 0.5, m)
+    val got = TcscGen.instance(task, idx, 5)
+    val want = TcscGen.instance(task, TcscGen.slotIndexes(ws, m), 5)
+    for (s <- 0 until m) {
+      assert(got.slots(s).workers.toSeq == want.slots(s).workers.toSeq)
+      assert(!got.slots(s).workers.exists(_ >= 900))
     }
   }
 }

@@ -13,6 +13,15 @@ class HarnessSpec extends AnyFunSuite {
     assert(v == 42 && ms >= 0.0)
   }
 
+  test("medianMs warms up, then reports the median of the timed runs") {
+    var calls = 0
+    // The first timed run (call 2) is slow; the median must ignore it.
+    val (v, ms) = Harness.medianMs({ calls += 1; if (calls == 2) Thread.sleep(200); calls })
+    assert(calls == 6, "one warm-up run and five timed runs")
+    assert(v == 6, "the value of the last run")
+    assert(ms >= 0.0 && ms < 100.0, s"median $ms ms")
+  }
+
   test("row pads columns and formats doubles") {
     val r = Harness.row("a", 1.5)
     assert(r.contains("a") && r.contains("1.5000"))
