@@ -18,7 +18,9 @@ import Harness.Cell
   *
   * Scaled to the container: defaults |T| = 40, m = 80, |W| = 800 (paper:
   * |T| ∈ {100, 300, 500}, m ∈ {300, 500, 1000} on a Xeon server) — shapes,
-  * not absolute times, are the reproduction target (EXPERIMENTS.md).
+  * not absolute times, are the reproduction target (EXPERIMENTS.md). Every
+  * time is `Harness.medianMs`: one untimed warm-up run, then the median of
+  * 5 timed runs.
   */
 object T9MultiEfficiency {
 
@@ -38,13 +40,13 @@ object T9MultiEfficiency {
     locally {
       val sc = scen()
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val (_, basicMs) = Harness.timeMs(SerialMulti.basic(sc.instances, b, params))
+      val (_, basicMs) = Harness.medianMs(SerialMulti.basic(sc.instances, b, params))
       for (cores <- Seq(1, 2, 4, 8)) {
         cells += Cell("Fig9a:time_vs_cores", cores.toString, "basic", basicMs)
-        val (_, gMs) = Harness.timeMs(
+        val (_, gMs) = Harness.medianMs(
           GroupParallel.run(sc.instances, workerPos(sc), b, params, cores))
         cells += Cell("Fig9a:time_vs_cores", cores.toString, "group", gMs)
-        val (_, tMs) = Harness.timeMs(TaskParallel.run(sc.instances, b, params, cores))
+        val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params, cores))
         cells += Cell("Fig9a:time_vs_cores", cores.toString, "task", tMs)
       }
     }
@@ -56,11 +58,10 @@ object T9MultiEfficiency {
     locally {
       val sc = scen(nW = 120, dist = TcscGen.Poi)
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val g = GroupParallel.run(sc.instances, workerPos(sc), b, params, 4)
-      val (gMs) = g.outcome.wallNanos / 1e6
-      val (out, _) = TaskParallel.run(sc.instances, b, params, 4)
+      val (g, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, workerPos(sc), b, params, 4))
+      val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params, 4))
       cells += Cell("Fig9a2:scarce_workers", "W=120", "group", gMs)
-      cells += Cell("Fig9a2:scarce_workers", "W=120", "task", out.wallNanos / 1e6)
+      cells += Cell("Fig9a2:scarce_workers", "W=120", "task", tMs)
       cells += Cell("Fig9a2:scarce_workers", "W=120", "largest_group", g.largestGroup.toDouble)
       cells += Cell("Fig9a2:scarce_workers", "W=120", "groups", g.groups.toDouble)
     }
@@ -69,9 +70,9 @@ object T9MultiEfficiency {
     for (dist <- TcscGen.AllDists) {
       val sc = scen(dist = dist)
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val (_, gMs) = Harness.timeMs(
+      val (_, gMs) = Harness.medianMs(
         GroupParallel.run(sc.instances, workerPos(sc), b, params, 4))
-      val (_, tMs) = Harness.timeMs(TaskParallel.run(sc.instances, b, params, 4))
+      val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params, 4))
       cells += Cell("Fig9b:time_vs_dist", dist.name, "group", gMs)
       cells += Cell("Fig9b:time_vs_dist", dist.name, "task", tMs)
     }
@@ -88,8 +89,8 @@ object T9MultiEfficiency {
     for (nT <- Seq(10, 20, 40)) {
       val sc = scen(nT = nT)
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val (_, bMs) = Harness.timeMs(SerialMulti.basic(sc.instances, b, params))
-      val (_, tMs) = Harness.timeMs(TaskParallel.run(sc.instances, b, params, 4))
+      val (_, bMs) = Harness.medianMs(SerialMulti.basic(sc.instances, b, params))
+      val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params, 4))
       cells += Cell("Fig9d:time_vs_T", nT.toString, "basic", bMs)
       cells += Cell("Fig9d:time_vs_T", nT.toString, "task", tMs)
     }
@@ -98,9 +99,9 @@ object T9MultiEfficiency {
     for (m <- Seq(40, 80, 120)) {
       val sc = scen(m = m)
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val (_, gMs) = Harness.timeMs(
+      val (_, gMs) = Harness.medianMs(
         GroupParallel.run(sc.instances, workerPos(sc), b, params, 4))
-      val (_, tMs) = Harness.timeMs(TaskParallel.run(sc.instances, b, params, 4))
+      val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params, 4))
       cells += Cell("Fig9e:time_vs_m", m.toString, "group", gMs)
       cells += Cell("Fig9e:time_vs_m", m.toString, "task", tMs)
     }
@@ -109,9 +110,9 @@ object T9MultiEfficiency {
     locally {
       val sc = scen()
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val (_, onMs) = Harness.timeMs(
+      val (_, onMs) = Harness.medianMs(
         TaskParallel.run(sc.instances, b, params, 4, priority = true))
-      val (_, offMs) = Harness.timeMs(
+      val (_, offMs) = Harness.medianMs(
         TaskParallel.run(sc.instances, b, params, 4, priority = false))
       cells += Cell("Fig9f:priority", "on", "task", onMs)
       cells += Cell("Fig9f:priority", "off", "task", offMs)
@@ -121,9 +122,9 @@ object T9MultiEfficiency {
     for (nT <- Seq(10, 20, 40)) {
       val sc = scen(nT = nT)
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val (_, nMs) = Harness.timeMs(
+      val (_, nMs) = Harness.medianMs(
         SerialMulti.minQuality(sc.instances, b, params, indexed = false))
-      val (_, sMs) = Harness.timeMs(
+      val (_, sMs) = Harness.medianMs(
         SerialMulti.minQuality(sc.instances, b, params, indexed = true))
       cells += Cell("Fig9g:qmin_time_vs_T", nT.toString, "Approx", nMs)
       cells += Cell("Fig9g:qmin_time_vs_T", nT.toString, "Approx*", sMs)
@@ -133,9 +134,9 @@ object T9MultiEfficiency {
     for (m <- Seq(40, 80, 120)) {
       val sc = scen(m = m)
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val (_, nMs) = Harness.timeMs(
+      val (_, nMs) = Harness.medianMs(
         SerialMulti.minQuality(sc.instances, b, params, indexed = false))
-      val (_, sMs) = Harness.timeMs(
+      val (_, sMs) = Harness.medianMs(
         SerialMulti.minQuality(sc.instances, b, params, indexed = true))
       cells += Cell("Fig9h:qmin_time_vs_m", m.toString, "Approx", nMs)
       cells += Cell("Fig9h:qmin_time_vs_m", m.toString, "Approx*", sMs)

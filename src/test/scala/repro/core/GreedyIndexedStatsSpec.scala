@@ -53,6 +53,22 @@ class GreedyIndexedStatsSpec extends AnyFunSuite {
     }
   }
 
+  test("a warmed Approx* run at m = 1000 allocates under 768 KiB") {
+    val threads = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    assume(threads.isThreadAllocatedMemorySupported)
+    threads.setThreadAllocatedMemoryEnabled(true)
+    val i = TcscGen.scenario(1, 1000, 2000, TcscGen.Uniform, 11).instances.head
+    val b = i.fullCost * 0.25
+    for (_ <- 0 until 30) GreedyIndexed.run(i, b, params) // warm-up: class loading and JIT
+    val id = Thread.currentThread.getId
+    val before = threads.getThreadAllocatedBytes(id)
+    val out = GreedyIndexed.run(i, b, params)
+    val allocated = threads.getThreadAllocatedBytes(id) - before
+    assert(out.stats.iterations > 300)
+    assert(allocated < 768 * 1024, s"$allocated bytes allocated by one run")
+  }
+
   test("candidate evaluations stay well below the naive count") {
     val i = inst(150, 5)
     val b = i.fullCost * 0.25

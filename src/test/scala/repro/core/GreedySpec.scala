@@ -84,6 +84,23 @@ class GreedySpec extends AnyFunSuite {
     }
   }
 
+  test("Approx* equals Approx where many h values tie exactly") {
+    // At a constant cost h is Δq / c and q is symmetric about the middle
+    // slot, so slots j and m - 1 - j tie from the first step on; at zero
+    // cost every h goes through the 1e-12 floor and the whole task executes.
+    for (m <- Seq(7, 20, 61); k <- Seq(1, 3); c <- Seq(0.0, 1.0, 2.5)) {
+      val inst = instOf(Seq.fill(m)(c))
+      val p = TcscParams(k = k)
+      for (b <- Seq(0.0, c * m / 4, c * m / 2)) {
+        val naive = GreedyNaive.run(inst, b, p)
+        val star = GreedyIndexed.run(inst, b, p)
+        assert(star.result.executedSlots == naive.result.executedSlots, s"m=$m k=$k c=$c b=$b")
+        assert(star.result.totalCost == naive.result.totalCost)
+        if (c == 0.0) assert(star.result.executedSlots.size == m, s"m=$m k=$k")
+      }
+    }
+  }
+
   test("Approx* at m = 300: same plan as Approx, quality within 1e-12 of a recompute") {
     // Approx* sums per-commit deltas; Approx recomputes q in ascending slot
     // order. The two differ by a few ulps, never by more than 1e-12.

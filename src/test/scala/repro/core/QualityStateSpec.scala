@@ -4,7 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
 /** The cached kernel of `QualityState`: its entropy table, its size guard,
-  * an allocation-free Δq and a walk-free, allocation-free insert.
+  * a Δq bit-identical to the naive marginal and allocation-free, and a
+  * walk-free, allocation-free insert.
   */
 class QualityStateSpec extends AnyFunSuite {
 
@@ -24,8 +25,12 @@ class QualityStateSpec extends AnyFunSuite {
     val rnd = new Random(20)
     for ((m, k) <- Seq((20, 3), (20, 1), (20, 20), (2, 3), (1000, 3))) {
       val ent = QualityState.entropyTable(m, k)
-      assert(ent.length == k * m + 1)
+      assert(ent.length == (k + 1) * m + 1)
       assert(bits(ent(k * m)) == bits(0.0), s"m=$m k=$k: ent(k·m) = ${ent(k * m)}")
+      // The executed-slot region past k·m holds the contribution of p = 1/m.
+      val self = Quality.contribution(1.0 / m)
+      for (s <- k * m + 1 to (k + 1) * m)
+        assert(bits(ent(s)) == bits(self), s"m=$m k=$k: ent($s) = ${ent(s)}, want $self")
       val realised = new java.util.BitSet(k * m + 1)
       val nRandom = if (m > 100) 40 else 400
       for (slots <- sets(m, rnd, nRandom)) {
@@ -45,6 +50,30 @@ class QualityStateSpec extends AnyFunSuite {
       // Single slots alone realise every d + (k - 1)·m, d = 1 .. m - 1.
       assert(realised.cardinality >= m - 1, s"m=$m k=$k: ${realised.cardinality} sums realised")
     }
+  }
+
+  test("deltaQ equals the naive marginal bit for bit after every insert") {
+    // m < k, the all-phantom phase (fewer than k executed) and whole histories.
+    val rnd = new Random(24)
+    var compared = 0L
+    for (m <- Seq(1, 2, 5, 40, 301); k <- Seq(1, 2, 3, 5)) {
+      val histories = if (m > 100) 1 else 20
+      for (h <- 0 until histories) {
+        val st = new QualityState(m, k)
+        val order = rnd.shuffle((0 until m).toList)
+        for ((t, step) <- (-1 +: order).zipWithIndex) {
+          if (t >= 0) st.insert(t)
+          for (j <- 0 until m if !st.isExecuted(j)) {
+            val got = st.deltaQ(j)
+            val want = GreedyNaive.deltaQNaive(st.executed, k, j)
+            if (bits(got) != bits(want))
+              fail(s"m=$m k=$k history=$h step=$step j=$j: deltaQ $got, naive $want")
+            compared += 1
+          }
+        }
+      }
+    }
+    assert(compared > 190000, s"$compared comparisons")
   }
 
   test("k·m beyond Int range is rejected before anything is allocated") {

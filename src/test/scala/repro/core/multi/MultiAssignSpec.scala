@@ -64,6 +64,32 @@ class MultiAssignSpec extends AnyFunSuite {
     }
   }
 
+  /** `nT` tasks of `m` slots; every candidate costs `c`, and slot j of task
+    * i lists workers (i + j + r) mod `nW`, r = 0 .. 2, so neighbouring
+    * tasks compete for them.
+    */
+  private def equalCost(nT: Int, m: Int, nW: Int, c: Double): Vector[TaskInstance] =
+    Vector.tabulate(nT) { i =>
+      TaskInstance(Task(i, 0.5, 0.5, m), Array.tabulate(m) { j =>
+        SlotCandidates(Array.tabulate(3)(r => (i + j + r) % nW), Array.fill(3)(c))
+      })
+    }
+
+  test("task-level parallel equals serial basic where many h values tie exactly") {
+    // Equal costs make tasks of equal history tie; at zero cost every h goes
+    // through the 1e-12 floor and only the workers limit the plan.
+    for ((c, b) <- Seq((1.0, 40.0), (2.0, 30.0), (0.0, 0.0))) {
+      val insts = equalCost(nT = 6, m = 24, nW = 5, c)
+      val serial = SerialMulti.basic(insts, b, params)
+      assert(serial.commits > 10, s"c=$c")
+      for (threads <- Seq(1, 3); priority <- Seq(true, false)) {
+        val (par, _) = TaskParallel.run(insts, b, params, threads, priority)
+        assert(par.executions == serial.executions, s"c=$c threads=$threads priority=$priority")
+        assert(par.qSum == serial.qSum)
+      }
+    }
+  }
+
   test("priority off yields the identical plan (only cost differs)") {
     val sc = scen()
     val b = TcscGen.budgetFor(sc.instances, 0.25)
