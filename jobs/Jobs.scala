@@ -7,61 +7,43 @@ import repro.expts._
 import repro.spark.AssignPipeline
 
 /** spark-submit entrypoints — one per reproduced evaluation table
-  * (DESIGN.md §5). Each wraps the same harness the bench suites call, so
+  * (DESIGN.md §5). Each runs the same harness the bench suites call, so
   * `spark-submit --class repro.jobs.RunT8 <jar>` regenerates a table
-  * standalone.
+  * standalone. The table harnesses run in core; only `RunSparkAssign`
+  * starts a `SparkSession`.
   */
-private[jobs] object JobSpark {
-  def session(name: String): SparkSession =
-    SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(name)
-      .config("spark.ui.enabled", "false")
-      .getOrCreate()
-}
-
 object RunT6 {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSpark.session("tcsc-t6")
-    try T6SingleQuality.render(T6SingleQuality.run()) finally spark.stop()
-  }
+  def main(args: Array[String]): Unit = T6SingleQuality.render(T6SingleQuality.run())
 }
 
 object RunT7 {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSpark.session("tcsc-t7")
-    try T7MultiQuality.render(T7MultiQuality.run()) finally spark.stop()
-  }
+  def main(args: Array[String]): Unit = T7MultiQuality.render(T7MultiQuality.run())
 }
 
 object RunT8 {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSpark.session("tcsc-t8")
-    try T8SingleEfficiency.render(T8SingleEfficiency.run()) finally spark.stop()
-  }
+  def main(args: Array[String]): Unit = T8SingleEfficiency.render(T8SingleEfficiency.run())
 }
 
 object RunT9 {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSpark.session("tcsc-t9")
-    try T9MultiEfficiency.render(T9MultiEfficiency.run()) finally spark.stop()
-  }
+  def main(args: Array[String]): Unit = T9MultiEfficiency.render(T9MultiEfficiency.run())
 }
 
 object RunT11 {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSpark.session("tcsc-t11")
-    try T11SpatioTemporal.render(T11SpatioTemporal.run()) finally spark.stop()
-  }
+  def main(args: Array[String]): Unit = T11SpatioTemporal.render(T11SpatioTemporal.run())
 }
 
 /** The Spark-native multi-task assignment pipeline (DESIGN.md §3): conflict
-  * groups via grid join, per-partition greedy, quality via the registered
-  * entropy UDAF.
+  * groups from the candidate lists (`ConflictGraph`), one group per
+  * partition running the lazy greedy, quality via the registered entropy
+  * UDAF.
   */
 object RunSparkAssign {
   def main(args: Array[String]): Unit = {
-    val spark = JobSpark.session("tcsc-spark-assign")
+    val spark = SparkSession.builder()
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName("tcsc-spark-assign")
+      .config("spark.ui.enabled", "false")
+      .getOrCreate()
     try {
       val sc = TcscGen.scenario(nTasks = 40, m = 80, nWorkers = 800,
         TcscGen.Uniform, seed = 23)

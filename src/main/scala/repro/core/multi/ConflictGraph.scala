@@ -1,83 +1,80 @@
 package repro.core.multi
 
 import repro.core.TaskInstance
-import repro.data.GridIndex
 import scala.collection.mutable
 
-/** Conflict graph over tasks via expanding NN bounds (Section IV-A-1,
-  * Fig 4 (c)-(e)) and its independent groups.
+/** Conflict groups of tasks for group-level parallelization (Section IV-A-1,
+  * Fig 4 (c)-(e)), built from the candidate lists the greedy books from.
   *
-  * Two tasks conflict when their candidate-worker neighbourhoods intersect:
-  * starting from each task's 1-NN bound, a node of degree d expands to its
-  * (d+1)-NN bound, and edges are (re)drawn until a fixpoint — the paper's
-  * gradual expansion. Connected components of the final graph are the
-  * independent groups that group-level parallelization runs concurrently.
+  * Two tasks conflict when some (worker, slot) appears in both tasks'
+  * candidate lists: only then can booking one take a worker the other could
+  * book. The groups are the connected components of that relation, so no
+  * (worker, slot) is listed by tasks of two groups, and each group can be
+  * planned on its own without double booking. The rule is exact: workers
+  * move over the slots, so on the generated workloads every task usually
+  * reaches every other and all tasks form one group (EXPERIMENTS.md, T9).
   */
 object ConflictGraph {
 
   final case class Result(
-      groupOf: Array[Int],          // task id -> group id (0-based, dense)
-      groups: Vector[Vector[Int]],  // group id -> member task ids
-      edges: Set[(Int, Int)],       // conflict edges (i < j)
-      rounds: Int,                  // expansion rounds until fixpoint
+      groupOf: Array[Int],          // task index -> group id (0-based, dense)
+      groups: Vector[Vector[Int]],  // group id -> member task indexes, ascending
   )
 
-  /** Build the graph from task locations and one representative position per
-    * worker (their first presence), as in the paper's Fig 4 illustration.
+  /** One pass over every slot's candidate list: each task is joined to the
+    * first task that listed the same (worker, slot). `firstAt` is a dense
+    * (slot, worker) table over the range of listed worker ids.
     */
-  def build(instances: Seq[TaskInstance],
-            workerPos: Seq[(Int, Double, Double)],
-            maxRounds: Int = 10): Result = {
+  def build(instances: Seq[TaskInstance]): Result = {
     val n = instances.size
-    val index = GridIndex(workerPos)
-    val degree = Array.fill(n)(0)
-    var edges = Set.empty[(Int, Int)]
-    var rounds = 0
-    var changed = true
-    while (changed && rounds < maxRounds) {
-      changed = false
-      rounds += 1
-      // Each task claims its (degree+1) nearest workers.
-      val claimed: Array[Set[Int]] = Array.tabulate(n) { i =>
-        val t = instances(i).task
-        val (ids, _) = index.knn(t.x, t.y, degree(i) + 1)
-        ids.toSet
-      }
-      val byWorker = mutable.HashMap.empty[Int, mutable.ArrayBuffer[Int]]
-      for (i <- 0 until n; w <- claimed(i))
-        byWorker.getOrElseUpdate(w, mutable.ArrayBuffer.empty) += i
-      for ((_, ts) <- byWorker if ts.length > 1;
-           a <- ts; b <- ts if a < b) {
-        val e = (a, b)
-        if (!edges.contains(e)) { edges += e; changed = true }
-      }
-      if (changed) {
-        val deg = Array.fill(n)(0)
-        for ((a, b) <- edges) { deg(a) += 1; deg(b) += 1 }
-        Array.copy(deg, 0, degree, 0, n)
+    var minW = Int.MaxValue; var maxW = Int.MinValue
+    for (inst <- instances; s <- inst.slots) {
+      val ws = s.workers
+      var r = 0
+      while (r < ws.length) { minW = math.min(minW, ws(r)); maxW = math.max(maxW, ws(r)); r += 1 }
+    }
+    val stride = if (maxW < minW) 0 else maxW - minW + 1
+    val firstAt = Array.fill(Math.multiplyExact(instances.map(_.m).maxOption.getOrElse(0), stride))(-1)
+    val uf = new UnionFind(n)
+    for ((inst, i) <- instances.iterator.zipWithIndex; j <- 0 until inst.m) {
+      val ws = inst.slots(j).workers
+      var r = 0
+      while (r < ws.length) {
+        val key = j * stride + ws(r) - minW
+        if (firstAt(key) < 0) firstAt(key) = i else uf.union(firstAt(key), i)
+        r += 1
       }
     }
-    val groupOf = components(n, edges)
-    val groups = Vector.tabulate(groupOf.maxOption.fold(0)(_ + 1))(g =>
-      (0 until n).filter(groupOf(_) == g).toVector)
-    Result(groupOf, groups, edges, rounds)
+    val groupOf = uf.dense()
+    val members = Array.fill(groupOf.maxOption.fold(0)(_ + 1))(Vector.newBuilder[Int])
+    for (i <- 0 until n) members(groupOf(i)) += i
+    Result(groupOf, members.iterator.map(_.result()).toVector)
   }
 
-  /** Connected components of `n` nodes under `edges` by union-find: node →
-    * dense component id, numbered in order of each component's first node.
+  /** Connected components of `n` nodes under `edges`: node → dense
+    * component id, numbered in order of each component's first node.
     */
   def components(n: Int, edges: Iterable[(Int, Int)]): Array[Int] = {
-    val parent = Array.tabulate(n)(identity)
-    def find(x: Int): Int = {
+    val uf = new UnionFind(n)
+    edges.foreach { case (a, b) => uf.union(a, b) }
+    uf.dense()
+  }
+
+  /** Union-find over `n` nodes; each root is its component's smallest node. */
+  private final class UnionFind(n: Int) {
+    private val parent = Array.tabulate(n)(identity)
+    private def find(x: Int): Int = {
       var r = x; while (parent(r) != r) r = parent(r)
       var c = x; while (parent(c) != r) { val nx = parent(c); parent(c) = r; c = nx }
       r
     }
-    edges.foreach { case (a, b) =>
+    def union(a: Int, b: Int): Unit = {
       val ra = find(a); val rb = find(b)
       if (ra != rb) parent(math.max(ra, rb)) = math.min(ra, rb)
     }
-    val dense = mutable.LinkedHashMap.empty[Int, Int]
-    Array.tabulate(n)(i => dense.getOrElseUpdate(find(i), dense.size))
+    def dense(): Array[Int] = {
+      val id = mutable.LinkedHashMap.empty[Int, Int]
+      Array.tabulate(n)(i => id.getOrElseUpdate(find(i), id.size))
+    }
   }
 }

@@ -6,17 +6,17 @@ import scala.jdk.CollectionConverters._
 
 /** Group-level parallelization of MSQM (Section IV-A-1).
   *
-  * Tasks are first partitioned into independent groups — connected
-  * components of the worker-conflict graph obtained by gradually expanding
-  * NN bounds (`ConflictGraph`). Groups never compete for workers, so each
-  * group's greedy runs concurrently on the thread pool, each with a budget
-  * share proportional to its size (b·|G|/|T|; the global budget cannot be
-  * enforced across independent groups without reintroducing the
-  * coordination this variant avoids — documented interpretation, DESIGN.md).
+  * Tasks are first partitioned into conflict groups (`ConflictGraph`): no
+  * (worker, slot) is listed by tasks of two groups, so groups never compete
+  * for workers and the stitched plan books each (worker, slot) at most once.
+  * Each group's greedy runs on the thread pool with a budget share
+  * proportional to its size (b·|G|/|T|; the global budget cannot be
+  * enforced across groups without reintroducing the coordination this
+  * variant avoids — documented interpretation, DESIGN.md).
   *
-  * The paper's drawback reproduces naturally: skewed task distributions
-  * yield a few large groups that dominate wall-clock time and cap the
-  * speedup (Fig 9 (a)-(b)).
+  * The paper's drawback shows in its extreme form: workers move over the
+  * slots, so usually all tasks form one group, which runs on one thread
+  * (Fig 9 (a)-(b), EXPERIMENTS.md).
   */
 object GroupParallel {
 
@@ -24,17 +24,14 @@ object GroupParallel {
       outcome: MultiOutcome,
       groups: Int,
       largestGroup: Int,
-      graphRounds: Int,
   )
 
-  def run(instances: Seq[TaskInstance],
-          workerPos: Seq[(Int, Double, Double)],
-          budget: Double, params: TcscParams, threads: Int): GroupOutcome = {
+  def run(instances: Seq[TaskInstance], budget: Double, params: TcscParams,
+          threads: Int): GroupOutcome = {
     val t0 = System.nanoTime()
     val inst = instances.toIndexedSeq
-    val graph = ConflictGraph.build(inst, workerPos)
+    val graph = ConflictGraph.build(inst)
     val total = inst.size.toDouble
-    val execPool = Executors.newFixedThreadPool(math.max(1, threads))
     val jobs = graph.groups.map { members =>
       new Callable[(Vector[Int], MultiOutcome)] {
         def call(): (Vector[Int], MultiOutcome) = {
@@ -44,8 +41,10 @@ object GroupParallel {
         }
       }
     }
-    val results = execPool.invokeAll(jobs.asJava).asScala.map(_.get()).toVector
-    execPool.shutdown()
+    val execPool = Executors.newFixedThreadPool(math.max(1, threads))
+    val results =
+      try execPool.invokeAll(jobs.asJava).asScala.map(_.get()).toVector
+      finally execPool.shutdown()
 
     // Stitch per-group outputs back into task order.
     val perTask = Array.fill(inst.size)(AssignmentResult(Vector.empty, 0.0, 0.0))
@@ -61,7 +60,6 @@ object GroupParallel {
       per.map(_.quality).sum,
       if (per.isEmpty) 0.0 else per.map(_.quality).min,
       commits, evals, conflicts, System.nanoTime() - t0)
-    GroupOutcome(outcome, graph.groups.size,
-      graph.groups.map(_.size).maxOption.getOrElse(0), graph.rounds)
+    GroupOutcome(outcome, graph.groups.size, graph.groups.map(_.size).maxOption.getOrElse(0))
   }
 }

@@ -32,10 +32,6 @@ object T9MultiEfficiency {
              dist: TcscGen.Dist = TcscGen.Uniform) =
       TcscGen.scenario(nT, m, nW, dist, seed)
 
-    def workerPos(sc: TcscGen.Scenario): Seq[(Int, Double, Double)] =
-      sc.workerPresence.groupBy(_.workerId).toSeq.sortBy(_._1)
-        .map { case (id, ws) => (id, ws.head.x, ws.head.y) }
-
     // (a) time vs cores ----------------------------------------------------
     locally {
       val sc = scen()
@@ -43,22 +39,21 @@ object T9MultiEfficiency {
       val (_, basicMs) = Harness.medianMs(SerialMulti.basic(sc.instances, b, params))
       for (cores <- Seq(1, 2, 4, 8)) {
         cells += Cell("Fig9a:time_vs_cores", cores.toString, "basic", basicMs)
-        val (_, gMs) = Harness.medianMs(
-          GroupParallel.run(sc.instances, workerPos(sc), b, params, cores))
+        val (_, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, b, params, cores))
         cells += Cell("Fig9a:time_vs_cores", cores.toString, "group", gMs)
         val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params, cores))
         cells += Cell("Fig9a:time_vs_cores", cores.toString, "task", tMs)
       }
     }
 
-    // (a2) scarce-worker regime: heavy conflicts merge tasks into few large
-    // groups, exposing the group-level drawback the paper describes ("large
-    // groups and heavyweight computation tasks") — the regime behind the
-    // Fig 9 (a) ordering where task-level wins.
+    // (a2) scarce-worker regime: heavy conflicts merge tasks into large
+    // groups, the group-level drawback the paper describes ("large groups
+    // and heavyweight computation tasks") — the regime behind the Fig 9 (a)
+    // ordering where task-level wins.
     locally {
       val sc = scen(nW = 120, dist = TcscGen.Poi)
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val (g, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, workerPos(sc), b, params, 4))
+      val (g, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, b, params, 4))
       val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params, 4))
       cells += Cell("Fig9a2:scarce_workers", "W=120", "group", gMs)
       cells += Cell("Fig9a2:scarce_workers", "W=120", "task", tMs)
@@ -70,10 +65,10 @@ object T9MultiEfficiency {
     for (dist <- TcscGen.AllDists) {
       val sc = scen(dist = dist)
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val (_, gMs) = Harness.medianMs(
-        GroupParallel.run(sc.instances, workerPos(sc), b, params, 4))
+      val (g, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, b, params, 4))
       val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params, 4))
       cells += Cell("Fig9b:time_vs_dist", dist.name, "group", gMs)
+      cells += Cell("Fig9b:time_vs_dist", dist.name, "groups", g.groups.toDouble)
       cells += Cell("Fig9b:time_vs_dist", dist.name, "task", tMs)
     }
 
@@ -99,8 +94,7 @@ object T9MultiEfficiency {
     for (m <- Seq(40, 80, 120)) {
       val sc = scen(m = m)
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val (_, gMs) = Harness.medianMs(
-        GroupParallel.run(sc.instances, workerPos(sc), b, params, 4))
+      val (_, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, b, params, 4))
       val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params, 4))
       cells += Cell("Fig9e:time_vs_m", m.toString, "group", gMs)
       cells += Cell("Fig9e:time_vs_m", m.toString, "task", tMs)

@@ -8,19 +8,17 @@ import repro.data.TcscGen
 
 /** The multi-task assignment as a partitioned Spark job (DESIGN.md §3).
   *
-  * Conflict-candidate edges are discovered with a grid-cell self-join
-  * (spatial pruning: only tasks whose neighbourhoods can share a worker are
-  * paired), independent groups are the connected components, and each group
-  * runs the task-level lazy greedy at one thread on its own partition via
-  * `groupByKey(group).flatMapGroups` — Spark partitions play the paper's
-  * computation cores. Instances travel to executors via a broadcast of the
-  * deterministic scenario.
+  * The conflict groups are built before the job from the candidate lists
+  * the scenario already holds (`ConflictGraph`, the same groups as
+  * `GroupParallel`), and each group runs the task-level lazy greedy at one
+  * thread on its own partition via `groupByKey(group).flatMapGroups` —
+  * Spark partitions play the paper's computation cores. Instances travel to
+  * executors via a broadcast of the deterministic scenario.
   */
 object AssignPipeline {
 
   final case class TaskRow(task_id: Int, x: Double, y: Double, m: Int)
   final case class WorkerRow(worker_id: Int, slot: Int, x: Double, y: Double)
-  final case class EdgeRow(a: Int, b: Int)
   final case class GroupedTask(group_id: Int, task_id: Int)
 
   def tasksDf(spark: SparkSession, sc: TcscGen.Scenario): DataFrame = {
@@ -33,16 +31,18 @@ object AssignPipeline {
     sc.workerPresence.map(w => WorkerRow(w.workerId, w.slot, w.x, w.y)).toDF()
   }
 
-  /** Conflict-candidate edges: tasks whose `radius`-neighbourhoods contain a
-    * common worker. Implemented as task×worker grid join (each task probes
-    * the 3×3 grid cells around it) followed by a worker self-join.
+  /** Task pairs whose `radius`-neighbourhoods contain a common worker, as a
+    * task×worker grid join (each task probes the 3×3 grid cells around it)
+    * followed by a worker self-join. Not a conflict model: these pairs differ
+    * from the candidate lists the greedy books from, and `assign` does not
+    * use them. Kept, with `tasksDf` and `workersDf`, only for the traced
+    * `spark.edges` probe of `tcscbench`, which compiles against them.
     */
   def conflictEdges(spark: SparkSession, tasks: DataFrame, workers: DataFrame,
                     radius: Double): DataFrame = {
     import spark.implicits._
     val cell = (c: org.apache.spark.sql.Column) => floor(c / radius).cast("int")
-    // distinct worker positions (first presence is representative, as in the
-    // driver-side ConflictGraph)
+    // distinct worker positions (first presence is representative)
     val wpos = workers.groupBy($"worker_id")
       .agg(first($"x").as("wx"), first($"y").as("wy"))
       .withColumn("cx", cell($"wx")).withColumn("cy", cell($"wy"))
@@ -61,8 +61,8 @@ object AssignPipeline {
       .distinct()
   }
 
-  /** Connected components over the (small) edge set: union-find on the
-    * driver after the Spark-side edge discovery.
+  /** Connected components of `nTasks` nodes under `edges`
+    * (`ConflictGraph.components`), for the `spark.edges` probe's pairs.
     */
   def groups(nTasks: Int, edges: Seq[(Int, Int)]): Array[Int] =
     ConflictGraph.components(nTasks, edges)
@@ -72,20 +72,17 @@ object AssignPipeline {
     * `GroupParallel`.
     */
   def assign(spark: SparkSession, sc: TcscGen.Scenario, budgetFraction: Double,
-             params: TcscParams, conflictRadius: Double = 0.08): Dataset[Execution] = {
+             params: TcscParams): Dataset[Execution] = {
     import spark.implicits._
-    val tasks = tasksDf(spark, sc)
-    val workers = workersDf(spark, sc)
-    val edgeSeq = conflictEdges(spark, tasks, workers, conflictRadius)
-      .as[(Int, Int)].collect().toSeq
-    val groupOf = groups(sc.tasks.size, edgeSeq)
+    val groupOf = ConflictGraph.build(sc.instances).groupOf
     val totalBudget = TcscGen.budgetFor(sc.instances, budgetFraction)
     val nTasks = sc.tasks.size
     val instByTask = spark.sparkContext.broadcast(
       sc.instances.map(i => i.task.id -> i).toMap)
     val bParams = spark.sparkContext.broadcast(params)
 
-    val grouped = sc.tasks.map(t => GroupedTask(groupOf(t.id), t.id)).toDS()
+    val grouped = sc.instances.indices
+      .map(i => GroupedTask(groupOf(i), sc.instances(i).task.id)).toDS()
     grouped
       .groupByKey(_.group_id)
       .flatMapGroups { (_, rows) =>

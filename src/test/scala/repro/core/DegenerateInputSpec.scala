@@ -1,129 +1,122 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PlanCheck
 import repro.core.multi.{GroupParallel, MultiOutcome, SerialMulti, TaskParallel}
 import repro.core.st.SpatioTemporal
 import repro.data.TcscGen
 
-/** Every assignment path on every degenerate input. Each run must not
-  * throw, must spend within its budget, must execute only with a slot's
-  * listed candidate at its listed cost, and must report qualities equal to a
-  * from-scratch recomputation: `Quality.qualityOf` per task, or
-  * `SpatioTemporal.scoreUnder` for SApprox's combined metric.
+/** Every assignment path on every degenerate input. Each run must not throw
+  * and its plan must pass `PlanCheck`: no (worker, slot) booked twice, only
+  * listed candidates at their listed costs, spend within budget, reported
+  * qualities equal to a from-scratch recomputation. SApprox reports one
+  * combined quality, which must equal `SpatioTemporal.scoreUnder`.
   */
 class DegenerateInputSpec extends AnyFunSuite {
   import DegenerateInputSpec.Run
   private val params = TcscParams()
 
-  private type Path = (IndexedSeq[TaskInstance], Double, Seq[(Int, Double, Double)]) => Seq[Run]
+  private type Path = (IndexedSeq[TaskInstance], Double) => Seq[Run]
 
-  private def recomputed(insts: IndexedSeq[TaskInstance], out: MultiOutcome, budget: Double): Run = {
+  /** A single-task path, run on each task with the whole budget. */
+  private def single(f: (TaskInstance, Double) => AssignmentResult): Path = (insts, b) =>
+    insts.map { inst =>
+      val r = f(inst, b)
+      Run(Seq(inst), PlanCheck.Plan(PlanCheck.singleTaskExecutions(inst, r.executedSlots),
+        Map(inst.task.id -> r.quality), b), r.totalCost, rankZero = true)
+    }
+
+  private def multiTask(f: (IndexedSeq[TaskInstance], Double) => MultiOutcome): Path = (insts, b) => {
+    val out = f(insts, b)
+    // PlanCheck reads the executions; each task's reported slots must match them.
     assert(out.perTask.size == insts.size)
     insts.zip(out.perTask).foreach { case (inst, r) =>
       assert(out.executions.filter(_.taskId == inst.task.id).map(_.slot).toSet ==
         r.executedSlots.toSet, s"task ${inst.task.id}: executions vs plan")
     }
-    Run(budget, out.totalCost, out.executions, insts.zip(out.perTask).map { case (inst, r) =>
-      (r.quality, Quality.qualityOf(inst.m, r.executedSlots, params.k))
-    })
+    Seq(Run(insts, PlanCheck.Plan.of(insts, out, b), out.totalCost))
   }
 
-  /** A single-task path, run on each task with the whole budget. */
-  private def single(f: (TaskInstance, Double) => AssignmentResult): Path = (insts, b, _) =>
-    insts.map { inst =>
-      val r = f(inst, b)
-      val execs = r.executedSlots.map { j =>
-        Execution(inst.task.id, j, inst.slots(j).workers.headOption.getOrElse(-1), inst.cost(j))
-      }
-      Run(b, r.totalCost, execs, Seq((r.quality, Quality.qualityOf(inst.m, r.executedSlots, params.k))))
-    }
-
-  private def taskParallel(threads: Int): Path = (insts, b, _) => {
+  private def taskParallel(threads: Int): Path = multiTask { (insts, b) =>
     val (out, tables) = TaskParallel.run(insts, b, params, threads)
     assert(tables.log.map(l => (l.task, l.slot)) ==
       out.executions.map(e => (insts.indexWhere(_.task.id == e.taskId), e.slot)))
-    Seq(recomputed(insts, out, b))
+    out
   }
 
   private val paths: Seq[(String, Path)] = Seq(
     "Approx" -> single(GreedyNaive.run(_, _, params).result),
     "Approx*" -> single(GreedyIndexed.run(_, _, params).result),
+    "OPT" -> single(ExactOpt.run(_, _, params)),
+    "Rand" -> single(RandomBaseline.run(_, _, params, seed = 5)),
     "TaskParallel/1" -> taskParallel(1),
     "TaskParallel/3" -> taskParallel(3),
-    "GroupParallel" -> ((insts, b, wpos) =>
-      Seq(recomputed(insts, GroupParallel.run(insts, wpos, b, params, threads = 2).outcome, b))),
-    "basic" -> ((insts, b, _) => Seq(recomputed(insts, SerialMulti.basic(insts, b, params), b))),
-    "MMQM" -> ((insts, b, _) =>
-      Seq(recomputed(insts, SerialMulti.minQuality(insts, b, params, indexed = true), b))),
-    "MMQM naive" -> ((insts, b, _) =>
-      Seq(recomputed(insts, SerialMulti.minQuality(insts, b, params, indexed = false), b))),
-    "SApprox" -> ((insts, b, _) => {
+    "GroupParallel" -> multiTask(GroupParallel.run(_, _, params, threads = 2).outcome),
+    "basic" -> multiTask(SerialMulti.basic(_, _, params)),
+    "MMQM" -> multiTask(SerialMulti.minQuality(_, _, params, indexed = true)),
+    "MMQM naive" -> multiTask(SerialMulti.minQuality(_, _, params, indexed = false)),
+    "SApprox" -> ((insts, b) => {
       val (res, st) = SpatioTemporal.sApprox(insts, b, params.k, 0.3, 0.7)
-      val rescored = SpatioTemporal.scoreUnder(insts.map(_.task), res.executions, params.k, 0.3, 0.7)
-      Seq(Run(b, res.totalCost, res.executions, Seq((st.quality, rescored))))
+      assert(math.abs(st.quality -
+        SpatioTemporal.scoreUnder(insts.map(_.task), res.executions, params.k, 0.3, 0.7)) < 1e-9)
+      // Its per-task base qualities are not reported; recompute them so that
+      // PlanCheck checks the bookings, candidates and spend.
+      val base = insts.map(i => i.task.id ->
+        Quality.qualityOf(i.m, res.executions.filter(_.taskId == i.task.id).map(_.slot), params.k)).toMap
+      Seq(Run(insts, PlanCheck.Plan(res.executions, base, b), res.totalCost))
     }),
   )
 
   private def scenario(nT: Int, m: Int, nW: Int, seed: Long) =
-    TcscGen.scenario(nT, m, nW, TcscGen.Uniform, seed)
+    TcscGen.scenario(nT, m, nW, TcscGen.Uniform, seed).instances
 
-  private def workerPos(sc: TcscGen.Scenario): Seq[(Int, Double, Double)] =
-    sc.workerPresence.groupBy(_.workerId).toSeq.sortBy(_._1)
-      .map { case (id, ws) => (id, ws.head.x, ws.head.y) }
-
-  /** `sc`'s instances with each slot's candidate list passed through `f`. */
-  private def mapSlots(sc: TcscGen.Scenario)(f: (Int, Int, SlotCandidates) => SlotCandidates) =
-    sc.instances.zipWithIndex.map { case (inst, i) =>
+  /** `insts` with each slot's candidate list passed through `f`. */
+  private def mapSlots(insts: Vector[TaskInstance])(f: (Int, Int, SlotCandidates) => SlotCandidates) =
+    insts.zipWithIndex.map { case (inst, i) =>
       inst.copy(slots = inst.slots.zipWithIndex.map { case (s, j) => f(i, j, s) })
     }
 
   private val none = SlotCandidates(Array.empty, Array.empty)
 
-  /** (name, instances, budget, worker positions, plans must be empty). */
-  private val inputs: Seq[(String, IndexedSeq[TaskInstance], Double, Seq[(Int, Double, Double)], Boolean)] = {
-    val zeroBudget = scenario(4, 12, 80, 201)
-    val noWorkers = scenario(4, 16, 120, 209)
-    val noWorkerInsts = mapSlots(noWorkers)((i, j, s) => if (i == 0 || j % 2 == 1) none else s)
+  /** Three tasks in far-apart corners whose every slot lists the same single
+    * worker, so every pair of tasks competes for each (worker, slot).
+    */
+  private val allConflicting = Vector((0.05, 0.05), (0.95, 0.95), (0.05, 0.95)).zipWithIndex.map {
+    case ((x, y), i) => TaskInstance(Task(i, x, y, 6), Array.fill(6)(SlotCandidates(Array(0), Array(0.1))))
+  }
+
+  /** (name, instances, budget, plans must be empty). */
+  private val inputs: Seq[(String, IndexedSeq[TaskInstance], Double, Boolean)] = {
+    val noWorkers = mapSlots(scenario(4, 16, 120, 209))((i, j, s) => if (i == 0 || j % 2 == 1) none else s)
     val smallM = scenario(3, 2, 40, 210)
-    val zeroCost = scenario(3, 10, 60, 211)
     Seq(
-      ("empty task list", Vector.empty, 10.0, Nil, true),
-      ("zero budget", zeroBudget.instances, 0.0, workerPos(zeroBudget), true),
-      ("slots with no workers", noWorkerInsts, TcscGen.budgetFor(noWorkerInsts, 0.5),
-        workerPos(noWorkers), false),
-      ("m < k (m = 2, k = 3)", smallM.instances, TcscGen.budgetFor(smallM.instances, 1.0),
-        workerPos(smallM), false),
+      ("empty task list", Vector.empty, 10.0, true),
+      ("zero budget", scenario(4, 12, 80, 201), 0.0, true),
+      ("slots with no workers", noWorkers, TcscGen.budgetFor(noWorkers, 0.5), false),
+      ("m < k (m = 2, k = 3)", smallM, TcscGen.budgetFor(smallM, 1.0), false),
       ("zero-cost candidates under zero budget",
-        mapSlots(zeroCost)((_, j, s) => if (j % 2 == 0) s.copy(costs = s.costs.map(_ => 0.0)) else s),
-        0.0, workerPos(zeroCost), false),
+        mapSlots(scenario(3, 10, 60, 211))((_, j, s) => if (j % 2 == 0) s.copy(costs = s.costs.map(_ => 0.0)) else s),
+        0.0, false),
+      ("all-conflicting tasks (one worker listed by every slot)", allConflicting, 10.0, false),
     )
   }
 
-  for ((name, insts, budget, wpos, expectEmpty) <- inputs) test(name) {
-    val byId = insts.map(i => i.task.id -> i).toMap
-    for ((path, run) <- paths; r <- run(insts, budget, wpos)) withClue(s"$path: ") {
-      assert(r.spent <= r.budget + 1e-9)
-      assert(r.executions.map(_.cost).sum <= r.budget + 1e-9)
-      r.executions.foreach { e =>
-        val sc = byId(e.taskId).slots(e.slot)
-        val rank = sc.workers.indexOf(e.workerId)
-        assert(rank >= 0 && sc.costs(rank) == e.cost, s"$e is not a listed candidate")
-      }
-      r.qualities.foreach { case (reported, recomputedQ) =>
-        assert(math.abs(reported - recomputedQ) < 1e-9)
-      }
+  for ((name, insts, budget, expectEmpty) <- inputs) test(name) {
+    for ((path, run) <- paths; r <- run(insts, budget)) withClue(s"$path: ") {
+      assert(PlanCheck.check(r.instances, r.plan, params.k, r.rankZero) == Vector.empty)
+      assert(r.spent <= budget + 1e-9)
       if (expectEmpty) {
-        assert(r.executions.isEmpty && r.spent == 0.0)
-        assert(r.qualities.forall(_._1 == 0.0))
+        assert(r.plan.executions.isEmpty && r.spent == 0.0)
+        assert(r.plan.reportedQuality.values.forall(_ == 0.0))
       }
     }
   }
 }
 
 object DegenerateInputSpec {
-  /** One run: what it spent and executed, and (reported, recomputed)
-    * qualities.
+  /** One run: the tasks it planned, its plan, the spend it reported and
+    * whether it books at rank 0 only (the single-task cost model).
     */
-  final case class Run(budget: Double, spent: Double, executions: Seq[Execution],
-                       qualities: Seq[(Double, Double)])
+  final case class Run(instances: Seq[TaskInstance], plan: PlanCheck.Plan, spent: Double,
+                       rankZero: Boolean = false)
 }

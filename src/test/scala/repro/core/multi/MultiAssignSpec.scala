@@ -1,6 +1,7 @@
 package repro.core.multi
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PlanCheck
 import repro.core._
 import repro.data.TcscGen
 
@@ -13,10 +14,6 @@ class MultiAssignSpec extends AnyFunSuite {
   private def scen(nT: Int = 12, m: Int = 30, nW: Int = 250, seed: Long = 51,
                    dist: TcscGen.Dist = TcscGen.Uniform) =
     TcscGen.scenario(nT, m, nW, dist, seed)
-
-  private def workerPos(sc: TcscGen.Scenario) =
-    sc.workerPresence.groupBy(_.workerId).toSeq.sortBy(_._1)
-      .map { case (id, ws) => (id, ws.head.x, ws.head.y) }
 
   test("basic greedy respects the global budget") {
     val sc = scen()
@@ -121,57 +118,92 @@ class MultiAssignSpec extends AnyFunSuite {
 
   test("conflict graph: groups partition the tasks") {
     val sc = scen(nT = 20, nW = 200)
-    val g = ConflictGraph.build(sc.instances, workerPos(sc))
+    val g = ConflictGraph.build(sc.instances)
     assert(g.groupOf.length == 20)
     assert(g.groups.flatten.sorted == (0 until 20).toVector)
-    g.edges.foreach { case (a, b2) =>
-      assert(g.groupOf(a) == g.groupOf(b2), s"edge ($a,$b2) crosses groups")
+    g.groups.zipWithIndex.foreach { case (members, id) =>
+      assert(members.forall(g.groupOf(_) == id))
+    }
+    // No (worker, slot) is listed by tasks of two groups.
+    val listedBy = for (i <- sc.instances.indices; j <- 0 until sc.instances(i).m;
+                        w <- sc.instances(i).slots(j).workers) yield ((w, j), g.groupOf(i))
+    listedBy.groupBy(_._1).foreach { case (key, gs) =>
+      assert(gs.map(_._2).distinct.size == 1, s"$key listed by two groups")
     }
   }
 
-  test("conflict graph: far-apart tasks are independent") {
-    // Two tasks in opposite corners with dedicated nearby workers.
-    val tasks = Vector(Task(0, 0.05, 0.05, 4), Task(1, 0.95, 0.95, 4))
-    val wpos = Seq((0, 0.06, 0.06), (1, 0.94, 0.94))
-    val insts = tasks.map { t =>
-      TaskInstance(t, Array.fill(4)(SlotCandidates(Array(0, 1), Array(0.1, 1.2))))
+  /** Tasks 0 .. n-1 of `m` slots at one place; slot j of task i lists
+    * `workers(i)(j)` at cost 0.1 each.
+    */
+  private def listing(m: Int, workers: Seq[Int => Seq[Int]]): Vector[TaskInstance] =
+    workers.toVector.zipWithIndex.map { case (ws, i) =>
+      TaskInstance(Task(i, 0.5, 0.5, m), Array.tabulate(m) { j =>
+        SlotCandidates(ws(j).toArray, Array.fill(ws(j).size)(0.1))
+      })
     }
-    val g = ConflictGraph.build(insts, wpos)
-    assert(g.groups.size == 2)
+
+  test("conflict graph: far-apart tasks are independent") {
+    // Disjoint candidate lists: no worker is listed by both tasks.
+    assert(ConflictGraph.build(listing(4, Seq(_ => Seq(0, 1), _ => Seq(2, 3)))).groups.size == 2)
+    // One worker listed by both tasks, but never at the same slot.
+    val g = ConflictGraph.build(listing(4,
+      Seq(j => Seq(if (j == 0) 0 else 10 + j), j => Seq(if (j == 1) 0 else 20 + j))))
+    assert(g.groups == Vector(Vector(0), Vector(1)))
   }
 
   test("conflict graph: tasks sharing their nearest worker conflict") {
-    val tasks = Vector(Task(0, 0.49, 0.5, 4), Task(1, 0.51, 0.5, 4))
-    val wpos = Seq((0, 0.5, 0.5), (1, 0.9, 0.9), (2, 0.1, 0.1))
-    val insts = tasks.map { t =>
-      TaskInstance(t, Array.fill(4)(SlotCandidates(Array(0), Array(0.01))))
-    }
-    val g = ConflictGraph.build(insts, wpos)
-    assert(g.groups.size == 1 && g.edges.contains((0, 1)))
+    // Shared candidate lists: both tasks list worker 0 at every slot.
+    assert(ConflictGraph.build(listing(4, Seq(_ => Seq(0), _ => Seq(0)))).groups.size == 1)
+    // Tasks 0 and 2 share nothing but are joined through task 1.
+    val g = ConflictGraph.build(listing(3,
+      Seq(j => Seq(j), j => Seq(j, 10 + j), j => Seq(10 + j), _ => Seq(99))))
+    assert(g.groups == Vector(Vector(0, 1, 2), Vector(3)))
   }
 
   test("group-level parallel: budget shares sum to the global budget") {
     val sc = scen(nT = 16)
     val b = TcscGen.budgetFor(sc.instances, 0.25)
-    val g = GroupParallel.run(sc.instances, workerPos(sc), b, params, threads = 3)
+    val g = GroupParallel.run(sc.instances, b, params, threads = 3)
     assert(g.outcome.totalCost <= b + 1e-9)
     assert(g.groups >= 1 && g.largestGroup <= 16)
   }
 
+  /** `sc`'s instances with each worker id split into `blocks` disjoint ids,
+    * one per task class i mod `blocks`, so tasks of different classes never
+    * share a (worker, slot).
+    */
+  private def blocked(sc: TcscGen.Scenario, blocks: Int): Vector[TaskInstance] =
+    sc.instances.zipWithIndex.map { case (inst, i) =>
+      inst.copy(slots = inst.slots.map(s => s.copy(workers = s.workers.map(_ * blocks + i % blocks))))
+    }
+
   test("group-level parallel matches per-group serial runs") {
-    val sc = scen(nT = 12, seed = 91)
-    val b = TcscGen.budgetFor(sc.instances, 0.25)
-    val graph = ConflictGraph.build(sc.instances, workerPos(sc))
-    val g = GroupParallel.run(sc.instances, workerPos(sc), b, params, threads = 4)
+    val insts = blocked(scen(nT = 12, seed = 91), blocks = 3)
+    val b = TcscGen.budgetFor(insts, 0.25)
+    val graph = ConflictGraph.build(insts)
+    assert(graph.groups == Vector.tabulate(3)(c => (c until 12 by 3).toVector))
+    val g = GroupParallel.run(insts, b, params, threads = 4)
+    assert(g.groups == 3 && g.largestGroup == 4)
+    assert(PlanCheck.check(insts, PlanCheck.Plan.of(insts, g.outcome, b), params.k) == Vector.empty)
     // Reproduce each group's run in isolation and compare per-task results.
     graph.groups.foreach { members =>
-      val share = b * members.size / sc.instances.size
-      val (solo, _) = TaskParallel.run(members.map(sc.instances(_)), share, params, 1)
+      val share = b * members.size / insts.size
+      val (solo, _) = TaskParallel.run(members.map(insts(_)), share, params, 1)
       members.zip(solo.perTask).foreach { case (tid, r) =>
         assert(g.outcome.perTask(tid).executedSlots == r.executedSlots,
           s"task $tid differs")
       }
     }
+  }
+
+  test("group-level parallel at the T9 defaults books no (worker, slot) twice") {
+    // T9 defaults: |T| = 40, m = 80, |W| = 800, uniform, seed 17, 25 % budget.
+    val sc = TcscGen.scenario(40, 80, 800, TcscGen.Uniform, seed = 17)
+    val b = TcscGen.budgetFor(sc.instances, 0.25)
+    val g = GroupParallel.run(sc.instances, b, params, threads = 4)
+    assert(g.outcome.executions.nonEmpty)
+    val problems = PlanCheck.check(sc.instances, PlanCheck.Plan.of(sc.instances, g.outcome, b), params.k)
+    assert(problems == Vector.empty)
   }
 
   test("MMQM: indexed and naive variants produce identical plans") {

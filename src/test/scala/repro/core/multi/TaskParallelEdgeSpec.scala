@@ -63,10 +63,8 @@ class TaskParallelEdgeSpec extends AnyFunSuite {
 
   test("group-parallel with one thread works") {
     val sc = TcscGen.scenario(6, 15, 120, TcscGen.Uniform, 207)
-    val wpos = sc.workerPresence.groupBy(_.workerId).toSeq.sortBy(_._1)
-      .map { case (id, ws) => (id, ws.head.x, ws.head.y) }
     val b = TcscGen.budgetFor(sc.instances, 0.25)
-    val g = GroupParallel.run(sc.instances, wpos, b, params, threads = 1)
+    val g = GroupParallel.run(sc.instances, b, params, threads = 1)
     assert(g.outcome.totalCost <= b + 1e-9)
     assert(g.outcome.perTask.size == 6)
   }

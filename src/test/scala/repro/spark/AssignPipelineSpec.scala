@@ -3,9 +3,9 @@ package repro.spark
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.joins.BaseJoinExec
-import repro.SparkSpec
+import repro.{PlanCheck, SparkSpec}
 import repro.core.{Execution, Quality, Task, TcscParams}
-import repro.core.multi.TaskParallel
+import repro.core.multi.{ConflictGraph, TaskParallel}
 import repro.data.TcscGen
 
 /** End-to-end Spark assignment pipeline vs the driver-side engine. */
@@ -48,18 +48,12 @@ class AssignPipelineSpec extends SparkSpec {
       .sortBy(e => (e.taskId, e.slot))
 
     // Rebuild the same groups and run the same per-group serial greedy.
-    val tasks = AssignPipeline.tasksDf(spark, sc)
-    val workers = AssignPipeline.workersDf(spark, sc)
-    val edges = AssignPipeline.conflictEdges(spark, tasks, workers, 0.08)
-      .as[(Int, Int)].collect().toSeq
-    val groupOf = AssignPipeline.groups(sc.tasks.size, edges)
     val budget = TcscGen.budgetFor(sc.instances, 0.25)
-    val expected = groupOf.zipWithIndex.groupBy(_._1).toSeq.flatMap { case (_, members) =>
-      val ids = members.map(_._2).sorted.toVector
+    val expected = ConflictGraph.build(sc.instances).groups.flatMap { ids =>
       val share = budget * ids.size / sc.tasks.size
       val (out, _) = TaskParallel.run(ids.map(sc.instances(_)), share, params, 1)
       out.executions
-    }.sortBy(e => (e.taskId, e.slot)).toVector
+    }.sortBy(e => (e.taskId, e.slot))
 
     assert(sparkExecs == expected)
   }
@@ -80,6 +74,19 @@ class AssignPipelineSpec extends SparkSpec {
     val execs = AssignPipeline.assign(spark, sc, 0.25, params).collect()
     val pairs = execs.map(e => (e.workerId, e.slot)).toSeq
     assert(pairs.distinct.size == pairs.size)
+  }
+
+  test("Spark assignment at RunSparkAssign's sizes passes PlanCheck") {
+    import spark.implicits._
+    // 40 tasks, m = 80, 800 workers, 25 % budget; on seed 6 groups from a
+    // 0.08-radius worker join book some (worker, slot) twice.
+    val big = TcscGen.scenario(nTasks = 40, m = 80, nWorkers = 800, TcscGen.Uniform, seed = 6)
+    val execs = AssignPipeline.assign(spark, big, 0.25, params).collect().toVector
+    val q = AssignPipeline.planQualities(spark, big, execs.toDF(), params.k)
+      .collect().map(r => r.getInt(0) -> r.getDouble(1)).toMap
+    val plan = PlanCheck.Plan(execs, q, TcscGen.budgetFor(big.instances, 0.25))
+    assert(execs.nonEmpty)
+    assert(PlanCheck.check(big.instances, plan, params.k) == Vector.empty)
   }
 
   test("planQualities of an empty task list scores nothing") {
