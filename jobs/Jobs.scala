@@ -1,6 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
+import repro.PlanCheck
 import repro.core.TcscParams
 import repro.data.TcscGen
 import repro.expts._
@@ -35,7 +36,8 @@ object RunT11 {
 /** The Spark-native multi-task assignment pipeline (DESIGN.md §3): conflict
   * groups from the candidate lists (`ConflictGraph`), one group per
   * partition running the lazy greedy, quality via the registered entropy
-  * UDAF.
+  * UDAF. The plan, with the UDAF's qualities as the reported ones, must pass
+  * `PlanCheck`; any finding is printed and the job exits with status 1.
   */
 object RunSparkAssign {
   def main(args: Array[String]): Unit = {
@@ -44,14 +46,21 @@ object RunSparkAssign {
       .appName("tcsc-spark-assign")
       .config("spark.ui.enabled", "false")
       .getOrCreate()
-    try {
+    val findings = try {
+      import spark.implicits._
       val sc = TcscGen.scenario(nTasks = 40, m = 80, nWorkers = 800,
         TcscGen.Uniform, seed = 23)
       val params = TcscParams()
-      val execs = AssignPipeline.assign(spark, sc, budgetFraction = 0.25, params)
+      val budgetFraction = 0.25
+      val execs = AssignPipeline.assign(spark, sc, budgetFraction, params).collect().toVector
       val q = AssignPipeline.planQualities(spark, sc, execs.toDF(), params.k)
-      println(Harness.banner("Spark assignment pipeline: per-task quality"))
-      q.orderBy("task_id").show(50, truncate = false)
+        .as[(Int, Double)].collect().toMap
+      Harness.printTable("Spark assignment pipeline: per-task quality", Seq("task_id", "q"),
+        q.toSeq.sorted.map { case (t, v) => Harness.row(t, v) })
+      PlanCheck.check(sc.instances,
+        PlanCheck.Plan(execs, q, TcscGen.budgetFor(sc.instances, budgetFraction)), params.k)
     } finally spark.stop()
+    findings.foreach(f => Console.err.println(s"PlanCheck: $f"))
+    if (findings.nonEmpty) sys.exit(1)
   }
 }

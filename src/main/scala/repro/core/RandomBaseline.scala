@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.core.multi.{MultiOutcome, WorkerPool}
 import scala.util.Random
 
 /** Rand — the paper's randomized baseline: repeatedly pick a random
@@ -34,15 +35,18 @@ object RandomBaseline {
   }
 
   /** Multi-task Rand: random (task, slot) picks assigned to the cheapest
-    * still-free worker until the global budget is exhausted. Returns
-    * (per-task qualities, q_sum, q_min).
+    * still-free worker until the global budget is exhausted. Each pick is
+    * one commit; Rand evaluates no Δq and registers no conflicts.
     */
   def multi(instances: Seq[TaskInstance], budget: Double, params: TcscParams,
-            seed: Long): (Vector[Double], Double, Double) = {
+            seed: Long): MultiOutcome = {
+    val t0 = System.nanoTime()
     val insts = instances.toIndexedSeq
     val rnd = new Random(seed)
-    val pool = new repro.core.multi.WorkerPool
-    val sets = insts.map(i => new ExecutedSet(i.m))
+    val pool = new WorkerPool
+    val orders = insts.map(_ => Vector.newBuilder[Int])
+    val costs = Array.fill(insts.size)(0.0)
+    val execs = Vector.newBuilder[Execution]
     var spent = 0.0
     var candidates = (for (i <- insts.indices; j <- 0 until insts(i).m) yield (i, j)).toBuffer
     var continue = candidates.nonEmpty
@@ -52,17 +56,26 @@ object RandomBaseline {
       candidates.remove(idx)
       val rank = pool.freeRank(insts(i).slots(j), j)
       if (rank >= 0) {
+        val worker = insts(i).slots(j).workers(rank)
         val cost = insts(i).slots(j).costs(rank)
         if (spent + cost <= budget) {
-          require(pool.tryTake(insts(i).slots(j).workers(rank), j))
-          sets(i).add(j)
+          require(pool.tryTake(worker, j))
+          orders(i) += j
+          costs(i) += cost
+          execs += Execution(insts(i).task.id, j, worker, cost)
           spent += cost
         }
       }
       continue = candidates.nonEmpty && spent < budget
     }
-    val qs = insts.indices.map(i => Quality.quality(sets(i), params.k)).toVector
-    (qs, qs.sum, if (qs.isEmpty) 0.0 else qs.min)
+    val per = insts.indices.map { i =>
+      val order = orders(i).result()
+      AssignmentResult(order, costs(i), Quality.qualityOf(insts(i).m, order, params.k))
+    }.toVector
+    val ex = execs.result()
+    MultiOutcome(per, ex, spent, per.map(_.quality).sum,
+      if (per.isEmpty) 0.0 else per.map(_.quality).min,
+      commits = ex.size, evals = 0L, conflicts = 0L, wallNanos = System.nanoTime() - t0)
   }
 
   /** Mean quality over `runs` seeds — the paper averages 20 runs. */

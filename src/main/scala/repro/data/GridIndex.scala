@@ -100,12 +100,4 @@ final class GridIndex(xs: Array[Double], ys: Array[Double], ids: Array[Int], cel
 object GridIndex {
   /** Grid side for n points, so the average bucket holds a handful. */
   def cellsFor(n: Int): Int = math.max(1, math.min(128, math.sqrt(math.max(1, n) / 4.0).toInt))
-
-  /** Build an index over (id, x, y) points, sized by `cellsFor`. */
-  def apply(points: Seq[(Int, Double, Double)]): GridIndex =
-    new GridIndex(
-      points.map(_._2).toArray,
-      points.map(_._3).toArray,
-      points.map(_._1).toArray,
-      cellsFor(points.size))
 }

@@ -21,7 +21,7 @@ object T7MultiQuality {
 
     def randMean(insts: Seq[TaskInstance], b: Double): (Double, Double) = {
       val rs = (0 until 5).map(s => RandomBaseline.multi(insts, b, params, seed + 100 + s))
-      (rs.map(_._2).sum / rs.size, rs.map(_._3).sum / rs.size)
+      (rs.map(_.qSum).sum / rs.size, rs.map(_.qMin).sum / rs.size)
     }
 
     def measure(dist: TcscGen.Dist, budgetFrac: Double, section: String, x: String): Seq[Row] = {

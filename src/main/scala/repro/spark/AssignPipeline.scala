@@ -103,10 +103,9 @@ object AssignPipeline {
     val m = sc.tasks.headOption.fold(1)(_.m) // no rows to score when empty
     require(sc.tasks.forall(_.m == m),
       s"planQualities scores one horizon; tasks have m in ${sc.tasks.map(_.m).distinct.sorted.mkString(", ")}")
-    val slots = sc.tasks.flatMap(t => (0 until t.m).map(s => (t.id, s)))
-      .toDF("task_id", "slot")
+    val tasks = sc.tasks.map(_.id).toDF("task_id")
     val executed = executions.select($"taskId".as("task_id"), $"slot")
-    val probs = ProbabilitySql.probabilities(spark, slots, executed, k, m)
+    val probs = ProbabilitySql.probabilities(spark, tasks, executed, k, m)
     ProbabilitySql.qualities(spark, probs)
   }
 }

@@ -1,24 +1,26 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import repro.core.{ExecutedSet, Quality}
 
-/** Subtask finishing probabilities (Eq 2–3) as a Catalyst pipeline.
+/** Subtask finishing probabilities (Eq 2–3) in Spark, with the core's own
+  * kernel.
   *
-  * Inputs: `slots(task_id, slot)` — every subtask of every task — and
+  * Inputs: `tasks(task_id)` — one row per task to score — and
   * `executed(task_id, slot)` — the assignment plan. Output:
-  * `(task_id, slot, p)` with the paper's k-NN interpolation semantics,
-  * including footnote 2 (missing neighbours at distance m), p bit-identical
-  * to `repro.core.Quality.finishProb`.
+  * `(task_id, slot, p)` for every slot 0 until m of every task, with p
+  * `repro.core.Quality.finishProb` by construction.
   *
   * The timeline is 1-D, so a slot's p depends only on the executed slots of
-  * its own task, through the sum of its k smallest distances. The plan has
-  * one shuffle and no join: slot rows and executed rows are unioned, one
-  * `Window.partitionBy(task_id)` hands every row its task's executed slots,
-  * and array expressions take the k smallest distances. Ties among equal
-  * distances do not change the sum, so no tie-break is needed. A
-  * `groupBy(task_id)` downstream (`qualities`) reuses the partitioning.
+  * its own task. The task rows (null `eslot`) and the executed rows are
+  * unioned, and one `groupBy(task_id)` `collect_list` gathers each task's
+  * executed slots: one shuffle, partially aggregated, and no join. A per-task
+  * UDF fills an `ExecutedSet(m)` with them and returns the m values of
+  * `Quality.finishProb`, which `posexplode` turns into `(slot, p)` rows. As
+  * in `ExecutedSet`, a slot executed twice counts once, and a slot outside
+  * [0, m) fails the job. Executed rows of a task not in `tasks` are dropped.
+  * A `groupBy(task_id)` downstream (`qualities`) reuses the partitioning.
   *
   * `duckSql` is an independent reference formulation (a slots × executed
   * join ranked with `ROW_NUMBER`), run on DuckDB by
@@ -26,28 +28,23 @@ import org.apache.spark.sql.functions._
   */
 object ProbabilitySql {
 
-  def probabilities(spark: SparkSession, slots: DataFrame, executed: DataFrame,
+  def probabilities(spark: SparkSession, tasks: DataFrame, executed: DataFrame,
                     k: Int, m: Int): DataFrame = {
     import spark.implicits._
-    val none = lit(null).cast("int")
-    val s = slots.select($"task_id".cast("int").as("task_id"),
-      $"slot".cast("int").as("slot"), none.as("eslot"))
-    val e = executed.select($"task_id".cast("int").as("task_id"),
-      none.as("slot"), $"slot".cast("int").as("eslot"))
-
-    // collect_list skips the slot rows' null eslot
-    val rows = s.unionByName(e)
-      .withColumn("ex", collect_list($"eslot").over(Window.partitionBy($"task_id")))
-      .filter($"slot".isNotNull)
-    val n = size($"ex")
-    val nearest = slice(array_sort(transform($"ex", x => abs(x - $"slot"))), 1, k)
-    val dsum = aggregate(nearest, lit(0L), (acc, d) => acc + d) + (lit(k) - least(n, lit(k))) * m
-    rows.select(
-      $"task_id", $"slot",
-      when(array_contains($"ex", $"slot"), lit(1.0) / m)
-        .when(n === 0, lit(0.0))
-        .otherwise((lit(1.0) - dsum / lit(k.toDouble * m)) / m)
-        .as("p"))
+    val t = tasks.select($"task_id".cast("int").as("task_id"), lit(null).cast("int").as("eslot"))
+    val e = executed.select($"task_id".cast("int").as("task_id"), $"slot".cast("int").as("eslot"))
+    val kernel = udf { (slots: Seq[Int]) =>
+      val es = new ExecutedSet(m)
+      slots.foreach(es.add)
+      Array.tabulate(m)(Quality.finishProb(_, es, k))
+    }
+    // collect_list skips the task rows' null eslot; `listed` drops tasks
+    // that only have executed rows
+    t.unionByName(e)
+      .groupBy($"task_id")
+      .agg(collect_list($"eslot").as("ex"), max($"eslot".isNull).as("listed"))
+      .where($"listed")
+      .select($"task_id", posexplode(kernel($"ex")).as(Seq("slot", "p")))
   }
 
   /** DuckDB-dialect reference over VARCHAR-typed oracle tables: each slot

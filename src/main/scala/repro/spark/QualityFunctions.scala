@@ -3,6 +3,7 @@ package repro.spark
 import org.apache.spark.sql.{Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions
+import repro.core.Quality
 
 /** The entropy quality metric as a Spark SQL function (DESIGN.md §3).
   *
@@ -14,12 +15,13 @@ import org.apache.spark.sql.functions
   */
 object QualityFunctions {
 
-  /** q = -Σ p log2 p as a typed aggregator (0·log 0 := 0). */
+  /** q = -Σ p log2 p as a typed aggregator, each term
+    * `Quality.contribution(p)` (0·log 0 := 0).
+    */
   val entropyQuality: Aggregator[Double, Double, Double] =
     new Aggregator[Double, Double, Double] {
       def zero: Double = 0.0
-      def reduce(b: Double, p: Double): Double =
-        b + (if (p > 0) -p * (math.log(p) / math.log(2.0)) else 0.0)
+      def reduce(b: Double, p: Double): Double = b + Quality.contribution(p)
       def merge(b1: Double, b2: Double): Double = b1 + b2
       def finish(r: Double): Double = r
       def bufferEncoder: Encoder[Double] = Encoders.scalaDouble

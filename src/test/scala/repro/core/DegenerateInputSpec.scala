@@ -55,6 +55,7 @@ class DegenerateInputSpec extends AnyFunSuite {
     "basic" -> multiTask(SerialMulti.basic(_, _, params)),
     "MMQM" -> multiTask(SerialMulti.minQuality(_, _, params, indexed = true)),
     "MMQM naive" -> multiTask(SerialMulti.minQuality(_, _, params, indexed = false)),
+    "Rand multi" -> multiTask(RandomBaseline.multi(_, _, params, seed = 5)),
     "SApprox" -> ((insts, b) => {
       val (res, st) = SpatioTemporal.sApprox(insts, b, params.k, 0.3, 0.7)
       assert(math.abs(st.quality -

@@ -235,9 +235,10 @@ class MultiAssignSpec extends AnyFunSuite {
   test("Rand multi respects budget and is below greedy q_sum") {
     val sc = scen()
     val b = TcscGen.budgetFor(sc.instances, 0.25)
-    val (_, rSum, _) = RandomBaseline.multi(sc.instances, b, params, seed = 5)
+    val rand = RandomBaseline.multi(sc.instances, b, params, seed = 5)
     val greedy = SerialMulti.basic(sc.instances, b, params)
-    assert(rSum <= greedy.qSum + 1e-9)
+    assert(rand.totalCost <= b + 1e-9)
+    assert(rand.qSum <= greedy.qSum + 1e-9)
   }
 
   test("WorkerPool: atomic take semantics") {

@@ -3,6 +3,7 @@ package repro.spark
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.joins.BaseJoinExec
+import org.apache.spark.sql.execution.window.WindowExec
 import repro.{PlanCheck, SparkSpec}
 import repro.core.{Execution, Quality, Task, TcscParams}
 import repro.core.multi.{ConflictGraph, TaskParallel}
@@ -62,11 +63,13 @@ class AssignPipelineSpec extends SparkSpec {
     import spark.implicits._
     val execs = AssignPipeline.assign(spark, sc, 0.25, params).collect().toVector
     val qDf = AssignPipeline.planQualities(spark, sc, execs.toDF(), params.k)
-    val got = qDf.collect().map(r => r.getInt(0) -> r.getDouble(1)).toMap
+    val rows = qDf.collect().map(r => r.getInt(0) -> r.getDouble(1))
+    assert(rows.map(_._1).sorted.toSeq == sc.tasks.map(_.id).sorted, "one row per task")
+    val got = rows.toMap
     val bySlots = execs.groupBy(_.taskId).view.mapValues(_.map(_.slot)).toMap
     sc.tasks.foreach { t =>
       val expected = Quality.qualityOf(t.m, bySlots.getOrElse(t.id, Vector.empty), params.k)
-      assert(math.abs(got.getOrElse(t.id, 0.0) - expected) < 1e-9, s"task ${t.id}")
+      assert(math.abs(got(t.id) - expected) < 1e-9, s"task ${t.id}")
     }
   }
 
@@ -107,6 +110,20 @@ class AssignPipelineSpec extends SparkSpec {
     assert(err.getMessage.contains("20, 30"))
   }
 
+  test("planQualities fails on an executed slot outside [0, m)") {
+    import spark.implicits._
+    val m = sc.tasks.head.m
+    for (slot <- Seq(m, -1)) {
+      val execs = Seq(Execution(sc.tasks.head.id, slot, 0, 1.0)).toDF()
+      val err = intercept[Exception] {
+        AssignPipeline.planQualities(spark, sc, execs, params.k).collect()
+      }
+      val causes = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null).toSeq
+      assert(causes.exists(c => String.valueOf(c.getMessage).contains(s"slot $slot out of [0, $m)")),
+        s"slot $slot: $err")
+    }
+  }
+
   test("planQualities plans one shuffle and no join") {
     import spark.implicits._
     val (out, _) = TaskParallel.run(sc.instances, TcscGen.budgetFor(sc.instances, 0.25), params, 1)
@@ -117,7 +134,9 @@ class AssignPipelineSpec extends SparkSpec {
     }
     val shuffles = plan.collect { case s: ShuffleExchangeExec => s }
     val joins = plan.collect { case j: BaseJoinExec => j }
+    val windows = plan.collect { case w: WindowExec => w }
     assert(shuffles.size == 1, s"expected one shuffle:\n$plan")
     assert(joins.isEmpty, s"expected no join:\n$plan")
+    assert(windows.isEmpty, s"expected no window:\n$plan")
   }
 }

@@ -6,8 +6,8 @@ import repro.core.multi.TaskParallel
 import repro.data.TcscGen
 import scala.util.Random
 
-/** The Catalyst probability pipeline vs the core engine and the DuckDB
-  * oracle (Eq 1–3 as SQL).
+/** The Spark probability pipeline vs the core engine and the DuckDB
+  * oracle (Eq 1–3 as SQL, the independent formulation).
   */
 class ProbabilitySqlSpec extends SparkSpec {
   import org.apache.spark.sql.functions._
@@ -15,13 +15,17 @@ class ProbabilitySqlSpec extends SparkSpec {
   private val k = 3
   private val m = 20
 
+  /** The task frame Spark scores, the slot table DuckDB scores and the
+    * executed slots both read.
+    */
   private def frames(executedByTask: Map[Int, Seq[Int]], m: Int = m) = {
     import spark.implicits._
     val taskIds = executedByTask.keys.toSeq.sorted
+    val tasks = taskIds.toDF("task_id")
     val slots = taskIds.flatMap(t => (0 until m).map(s => (t, s))).toDF("task_id", "slot")
     val executed = executedByTask.toSeq.flatMap { case (t, ss) => ss.map((t, _)) }
       .toDF("task_id", "slot")
-    (slots, executed)
+    (tasks, slots, executed)
   }
 
   /** Empty, fully executed, evenly spaced (equidistant ties), end-point and
@@ -36,12 +40,14 @@ class ProbabilitySqlSpec extends SparkSpec {
     (fixed ++ random).zipWithIndex.map { case (ss, t) => t -> ss }.toMap
   }
 
+  /** (m, k): the default, k = 1, k = m, m = 2 < k = 3, and an odd m. */
+  private val shapes = Seq((20, 3), (20, 1), (20, 20), (2, 3), (9, 4))
+
   test("pipeline matches the core metric slot by slot") {
-    // (m, k): the default, k = 1, k = m, m = 2 < k = 3, and an odd m
-    for (((mm, kk), seed) <- Seq((20, 3), (20, 1), (20, 20), (2, 3), (9, 4)).zipWithIndex) {
+    for (((mm, kk), seed) <- shapes.zipWithIndex) {
       val executedByTask = executedSets(mm, 81L + seed)
-      val (slots, executed) = frames(executedByTask, mm)
-      val probs = ProbabilitySql.probabilities(spark, slots, executed, kk, mm)
+      val (tasks, _, executed) = frames(executedByTask, mm)
+      val probs = ProbabilitySql.probabilities(spark, tasks, executed, kk, mm)
         .collect().map(r => (r.getInt(0), r.getInt(1)) -> r.getDouble(2)).toMap
       assert(probs.size == executedByTask.size * mm)
       for ((t, ss) <- executedByTask) {
@@ -56,10 +62,18 @@ class ProbabilitySqlSpec extends SparkSpec {
     }
   }
 
+  test("pipeline agrees with the DuckDB formulation on every set of the exact test") {
+    for (((mm, kk), seed) <- shapes.zipWithIndex) withClue(s"m=$mm k=$kk: ") {
+      val (tasks, slots, executed) = frames(executedSets(mm, 81L + seed), mm)
+      Oracle.assertEquivalent(ProbabilitySql.probabilities(spark, tasks, executed, kk, mm),
+        ProbabilitySql.duckSql(kk, mm), "slots" -> slots, "executed" -> executed)
+    }
+  }
+
   test("pipeline agrees with DuckDB running the same SQL (oracle)") {
     val executedByTask = Map(0 -> Seq(1, 3, 6, 8), 1 -> Seq(0, 19), 2 -> Seq.empty[Int])
-    val (slots, executed) = frames(executedByTask)
-    val sparkDf = ProbabilitySql.probabilities(spark, slots, executed, k, m)
+    val (tasks, slots, executed) = frames(executedByTask)
+    val sparkDf = ProbabilitySql.probabilities(spark, tasks, executed, k, m)
     Oracle.assertEquivalent(sparkDf, ProbabilitySql.duckSql(k, m),
       "slots" -> slots, "executed" -> executed)
   }
@@ -69,8 +83,8 @@ class ProbabilitySqlSpec extends SparkSpec {
     val executedByTask = (0 until 3).map { t =>
       t -> rnd.shuffle((0 until m).toList).take(5).sorted.toSeq
     }.toMap
-    val (slots, executed) = frames(executedByTask)
-    val sparkDf = ProbabilitySql.probabilities(spark, slots, executed, 2, m)
+    val (tasks, slots, executed) = frames(executedByTask)
+    val sparkDf = ProbabilitySql.probabilities(spark, tasks, executed, 2, m)
     Oracle.assertEquivalent(sparkDf, ProbabilitySql.duckSql(2, m),
       "slots" -> slots, "executed" -> executed)
   }
@@ -82,17 +96,28 @@ class ProbabilitySqlSpec extends SparkSpec {
     val budget = TcscGen.budgetFor(sc.instances, 0.25)
     val (out, _) = TaskParallel.run(sc.instances, budget, params, threads = 1)
     assert(out.executions.nonEmpty)
+    val tasks = sc.tasks.map(_.id).toDF("task_id")
     val slots = sc.tasks.flatMap(t => (0 until t.m).map((t.id, _))).toDF("task_id", "slot")
     val executed = out.executions.map(e => (e.taskId, e.slot)).toDF("task_id", "slot")
-    val sparkDf = ProbabilitySql.probabilities(spark, slots, executed, params.k, 80)
+    val sparkDf = ProbabilitySql.probabilities(spark, tasks, executed, params.k, 80)
     Oracle.assertEquivalent(sparkDf, ProbabilitySql.duckSql(params.k, 80),
       "slots" -> slots, "executed" -> executed)
   }
 
   test("task with no executions gets p = 0 everywhere") {
-    val (slots, executed) = frames(Map(0 -> Seq.empty[Int]))
-    val probs = ProbabilitySql.probabilities(spark, slots, executed, k, m)
+    val (tasks, _, executed) = frames(Map(0 -> Seq.empty[Int]))
+    val probs = ProbabilitySql.probabilities(spark, tasks, executed, k, m)
     assert(probs.agg(sum(abs(col("p")))).collect()(0).getDouble(0) == 0.0)
+  }
+
+  test("a slot executed twice counts once; a task missing from the task frame is not scored") {
+    import spark.implicits._
+    val executed = Seq((0, 3), (0, 3), (0, 9), (1, 4)).toDF("task_id", "slot")
+    val probs = ProbabilitySql.probabilities(spark, Seq(0).toDF("task_id"), executed, k, m)
+      .as[(Int, Int, Double)].collect()
+    val es = new ExecutedSet(m)
+    Seq(3, 9).foreach(es.add)
+    assert(probs.sortBy(_._2).toSeq == (0 until m).map(j => (0, j, Quality.finishProb(j, es, k))))
   }
 
   test("registered UDAF quality matches DuckDB entropy aggregation") {
