@@ -2,7 +2,7 @@ package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.{Execution, TcscParams}
+import repro.core.{ExecutedSet, Execution, Quality, TcscParams}
 import repro.core.multi.{ConflictGraph, TaskParallel}
 import repro.data.TcscGen
 
@@ -13,7 +13,8 @@ import repro.data.TcscGen
   * `GroupParallel`), and each group runs the task-level lazy greedy at one
   * thread on its own partition via `groupByKey(group).flatMapGroups` —
   * Spark partitions play the paper's computation cores. Instances travel to
-  * executors via a broadcast of the deterministic scenario.
+  * executors via a broadcast of the deterministic scenario. `planQualities`
+  * scores a plan with one keyed fold and the core's quality metric.
   */
 object AssignPipeline {
 
@@ -94,8 +95,18 @@ object AssignPipeline {
       }
   }
 
-  /** Quality of an executions plan, computed in Spark with the registered
-    * UDAF over the probability pipeline. Every task must share one horizon m.
+  /** Quality of an executions plan, computed in Spark with the core's own
+    * metric: one `(task_id, q)` row per task of `sc.tasks`, q equal to
+    * `Quality.qualityOf` bit for bit. Every task must share one horizon m.
+    *
+    * One keyed fold, one job of two stages: a marker pair per listed task is
+    * unioned with the plan's `(taskId, slot)` pairs, and `combineByKey` ORs
+    * each task's slots into a bitmap of m bits plus one "listed" word (map
+    * side), then ORs the bitmaps (reduce side). Each listed bitmap fills an
+    * `ExecutedSet` that `Quality.quality` scores. A slot executed twice
+    * counts once; a slot outside [0, m) fails the map step with
+    * `ExecutedSet`'s message; executions of a task not in `sc.tasks` are not
+    * scored.
     */
   def planQualities(spark: SparkSession, sc: TcscGen.Scenario,
                     executions: DataFrame, k: Int): DataFrame = {
@@ -103,9 +114,35 @@ object AssignPipeline {
     val m = sc.tasks.headOption.fold(1)(_.m) // no rows to score when empty
     require(sc.tasks.forall(_.m == m),
       s"planQualities scores one horizon; tasks have m in ${sc.tasks.map(_.m).distinct.sorted.mkString(", ")}")
-    val tasks = sc.tasks.map(_.id).toDF("task_id")
-    val executed = executions.select($"taskId".as("task_id"), $"slot")
-    val probs = ProbabilitySql.probabilities(spark, tasks, executed, k, m)
-    ProbabilitySql.qualities(spark, probs)
+    val listedWord = (m + 63) >>> 6 // the bitmap's last word flags a listed task
+    val listed = spark.sparkContext.parallelize(sc.tasks.map(t => (t.id, Listed)), 1)
+    val slots = executions.select($"taskId", $"slot".cast("long")).as[(Int, Long)].rdd
+    def add(bits: Array[Long], s: Long): Array[Long] = {
+      if (s == Listed) bits(listedWord) = 1L
+      else {
+        require(s >= 0 && s < m, s"slot $s out of [0, $m)")
+        bits(s.toInt >>> 6) |= 1L << s
+      }
+      bits
+    }
+    def or(a: Array[Long], b: Array[Long]): Array[Long] = {
+      var i = 0
+      while (i <= listedWord) { a(i) |= b(i); i += 1 }
+      a
+    }
+    listed.union(slots)
+      .combineByKey((s: Long) => add(new Array[Long](listedWord + 1), s), add, or)
+      .flatMap { case (t, bits) =>
+        if (bits(listedWord) == 0L) None
+        else {
+          val es = new ExecutedSet(m)
+          for (j <- 0 until m if (bits(j >>> 6) & (1L << j)) != 0L) es.add(j)
+          Some((t, Quality.quality(es, k)))
+        }
+      }
+      .toDF("task_id", "q")
   }
+
+  /** The value of a listed task's marker pair; no `Int` slot maps to it. */
+  private final val Listed = Long.MinValue
 }

@@ -1,9 +1,9 @@
 package repro.spark
 
-import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
-import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
-import org.apache.spark.sql.execution.joins.BaseJoinExec
-import org.apache.spark.sql.execution.window.WindowExec
+import java.util.Properties
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import repro.{PlanCheck, SparkSpec}
 import repro.core.{Execution, Quality, Task, TcscParams}
 import repro.core.multi.{ConflictGraph, TaskParallel}
@@ -69,7 +69,7 @@ class AssignPipelineSpec extends SparkSpec {
     val bySlots = execs.groupBy(_.taskId).view.mapValues(_.map(_.slot)).toMap
     sc.tasks.foreach { t =>
       val expected = Quality.qualityOf(t.m, bySlots.getOrElse(t.id, Vector.empty), params.k)
-      assert(math.abs(got(t.id) - expected) < 1e-9, s"task ${t.id}")
+      assert(got(t.id) == expected, s"task ${t.id}: spark=${got(t.id)} core=$expected")
     }
   }
 
@@ -124,19 +124,37 @@ class AssignPipelineSpec extends SparkSpec {
     }
   }
 
-  test("planQualities plans one shuffle and no join") {
+  test("planQualities runs one job of two stages") {
     import spark.implicits._
     val (out, _) = TaskParallel.run(sc.instances, TcscGen.budgetFor(sc.instances, 0.25), params, 1)
-    val df = AssignPipeline.planQualities(spark, sc, out.executions.toDF(), params.k)
-    val plan = df.queryExecution.executedPlan match {
-      case a: AdaptiveSparkPlanExec => a.initialPlan
-      case p => p
+    val ctx = spark.sparkContext
+    val jobs = new AtomicInteger
+    val stages = new AtomicInteger
+    val drained = new CountDownLatch(1)
+    def group(props: Properties) = Option(props).map(_.getProperty("spark.jobGroup.id")).orNull
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = group(e.properties) match {
+        case "score" => jobs.incrementAndGet()
+        case "sentinel" => drained.countDown()
+        case _ =>
+      }
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        if (group(e.properties) == "score") stages.incrementAndGet()
     }
-    val shuffles = plan.collect { case s: ShuffleExchangeExec => s }
-    val joins = plan.collect { case j: BaseJoinExec => j }
-    val windows = plan.collect { case w: WindowExec => w }
-    assert(shuffles.size == 1, s"expected one shuffle:\n$plan")
-    assert(joins.isEmpty, s"expected no join:\n$plan")
-    assert(windows.isEmpty, s"expected no window:\n$plan")
+    ctx.addSparkListener(listener)
+    try {
+      ctx.setJobGroup("score", "planQualities")
+      AssignPipeline.planQualities(spark, sc, out.executions.toDF(), params.k).collect()
+      // the bus delivers events in order: once the sentinel's job start
+      // arrives, every event of the scoring query has been seen
+      ctx.setJobGroup("sentinel", "listener sentinel")
+      ctx.parallelize(Seq(1), 1).count()
+      assert(drained.await(30, TimeUnit.SECONDS), "listener bus did not drain")
+    } finally {
+      ctx.clearJobGroup()
+      ctx.removeSparkListener(listener)
+    }
+    assert(jobs.get == 1, "jobs")
+    assert(stages.get == 2, "stages")
   }
 }

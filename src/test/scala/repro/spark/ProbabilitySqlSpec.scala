@@ -1,31 +1,51 @@
 package repro.spark
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
-import repro.core.{ExecutedSet, Quality, TcscParams}
+import repro.core.{Execution, Quality, Task, TcscParams}
 import repro.core.multi.TaskParallel
 import repro.data.TcscGen
 import scala.util.Random
 
-/** The Spark probability pipeline vs the core engine and the DuckDB
-  * oracle (Eq 1–3 as SQL, the independent formulation).
+/** Spark plan scoring (`AssignPipeline.planQualities`) vs the core metric
+  * and the DuckDB oracle (Eq 1–3 as SQL, the independent formulation).
   */
 class ProbabilitySqlSpec extends SparkSpec {
-  import org.apache.spark.sql.functions._
 
   private val k = 3
   private val m = 20
 
-  /** The task frame Spark scores, the slot table DuckDB scores and the
-    * executed slots both read.
-    */
-  private def frames(executedByTask: Map[Int, Seq[Int]], m: Int = m) = {
+  /** A scenario listing the tasks of `executedByTask`, all of horizon m. */
+  private def scenario(executedByTask: Map[Int, Seq[Int]], m: Int): TcscGen.Scenario =
+    TcscGen.Scenario(executedByTask.keys.toVector.sorted.map(Task(_, 0.5, 0.5, m)),
+      Vector.empty, Vector.empty)
+
+  private def pairs(executedByTask: Map[Int, Seq[Int]]): Seq[(Int, Int)] =
+    executedByTask.toSeq.flatMap { case (t, ss) => ss.map((t, _)) }
+
+  private def executionsDf(taskSlots: Seq[(Int, Int)]): DataFrame = {
     import spark.implicits._
-    val taskIds = executedByTask.keys.toSeq.sorted
-    val tasks = taskIds.toDF("task_id")
-    val slots = taskIds.flatMap(t => (0 until m).map(s => (t, s))).toDF("task_id", "slot")
-    val executed = executedByTask.toSeq.flatMap { case (t, ss) => ss.map((t, _)) }
+    taskSlots.map { case (t, s) => Execution(t, s, 0, 1.0) }.toDF()
+  }
+
+  private def scored(executedByTask: Map[Int, Seq[Int]], k: Int, m: Int): DataFrame =
+    AssignPipeline.planQualities(spark, scenario(executedByTask, m),
+      executionsDf(pairs(executedByTask)), k)
+
+  /** DuckDB's q per task: `duckSql`'s probabilities summed by `duckQualitySql`. */
+  private def duckQualities(k: Int, m: Int): String =
+    s"WITH probs AS (\n${ProbabilitySql.duckSql(k, m)})\n${ProbabilitySql.duckQualitySql}"
+
+  /** `planQualities` against the composed DuckDB formulation on the same
+    * plan; DuckDB reads one slot row per (task, slot) and the executed slots.
+    */
+  private def assertDuckAgrees(executedByTask: Map[Int, Seq[Int]], k: Int, m: Int): Unit = {
+    import spark.implicits._
+    val slots = executedByTask.keys.toSeq.sorted.flatMap(t => (0 until m).map((t, _)))
       .toDF("task_id", "slot")
-    (tasks, slots, executed)
+    val executed = pairs(executedByTask).toDF("task_id", "slot")
+    Oracle.assertEquivalent(scored(executedByTask, k, m), duckQualities(k, m),
+      "slots" -> slots, "executed" -> executed)
   }
 
   /** Empty, fully executed, evenly spaced (equidistant ties), end-point and
@@ -43,39 +63,27 @@ class ProbabilitySqlSpec extends SparkSpec {
   /** (m, k): the default, k = 1, k = m, m = 2 < k = 3, and an odd m. */
   private val shapes = Seq((20, 3), (20, 1), (20, 20), (2, 3), (9, 4))
 
-  test("pipeline matches the core metric slot by slot") {
+  test("pipeline matches the core metric task by task, bit for bit") {
     for (((mm, kk), seed) <- shapes.zipWithIndex) {
       val executedByTask = executedSets(mm, 81L + seed)
-      val (tasks, _, executed) = frames(executedByTask, mm)
-      val probs = ProbabilitySql.probabilities(spark, tasks, executed, kk, mm)
-        .collect().map(r => (r.getInt(0), r.getInt(1)) -> r.getDouble(2)).toMap
-      assert(probs.size == executedByTask.size * mm)
+      val q = scored(executedByTask, kk, mm)
+        .collect().map(r => r.getInt(0) -> r.getDouble(1)).toMap
+      assert(q.keySet == executedByTask.keySet, s"m=$mm k=$kk: one row per task")
       for ((t, ss) <- executedByTask) {
-        val es = new ExecutedSet(mm)
-        ss.foreach(es.add)
-        for (j <- 0 until mm) {
-          val expected = Quality.finishProb(j, es, kk)
-          assert(probs((t, j)) == expected,
-            s"m=$mm k=$kk task $t slot $j: spark=${probs((t, j))} core=$expected")
-        }
+        val expected = Quality.qualityOf(mm, ss, kk)
+        assert(q(t) == expected, s"m=$mm k=$kk task $t: spark=${q(t)} core=$expected")
       }
     }
   }
 
   test("pipeline agrees with the DuckDB formulation on every set of the exact test") {
     for (((mm, kk), seed) <- shapes.zipWithIndex) withClue(s"m=$mm k=$kk: ") {
-      val (tasks, slots, executed) = frames(executedSets(mm, 81L + seed), mm)
-      Oracle.assertEquivalent(ProbabilitySql.probabilities(spark, tasks, executed, kk, mm),
-        ProbabilitySql.duckSql(kk, mm), "slots" -> slots, "executed" -> executed)
+      assertDuckAgrees(executedSets(mm, 81L + seed), kk, mm)
     }
   }
 
   test("pipeline agrees with DuckDB running the same SQL (oracle)") {
-    val executedByTask = Map(0 -> Seq(1, 3, 6, 8), 1 -> Seq(0, 19), 2 -> Seq.empty[Int])
-    val (tasks, slots, executed) = frames(executedByTask)
-    val sparkDf = ProbabilitySql.probabilities(spark, tasks, executed, k, m)
-    Oracle.assertEquivalent(sparkDf, ProbabilitySql.duckSql(k, m),
-      "slots" -> slots, "executed" -> executed)
+    assertDuckAgrees(Map(0 -> Seq(1, 3, 6, 8), 1 -> Seq(0, 19), 2 -> Seq.empty[Int]), k, m)
   }
 
   test("oracle check with a random plan and k=2") {
@@ -83,63 +91,31 @@ class ProbabilitySqlSpec extends SparkSpec {
     val executedByTask = (0 until 3).map { t =>
       t -> rnd.shuffle((0 until m).toList).take(5).sorted.toSeq
     }.toMap
-    val (tasks, slots, executed) = frames(executedByTask)
-    val sparkDf = ProbabilitySql.probabilities(spark, tasks, executed, 2, m)
-    Oracle.assertEquivalent(sparkDf, ProbabilitySql.duckSql(2, m),
-      "slots" -> slots, "executed" -> executed)
+    assertDuckAgrees(executedByTask, 2, m)
   }
 
   test("oracle check at RunSparkAssign's sizes with a TaskParallel plan") {
-    import spark.implicits._
     val params = TcscParams()
     val sc = TcscGen.scenario(nTasks = 40, m = 80, nWorkers = 800, TcscGen.Uniform, seed = 88)
     val budget = TcscGen.budgetFor(sc.instances, 0.25)
     val (out, _) = TaskParallel.run(sc.instances, budget, params, threads = 1)
     assert(out.executions.nonEmpty)
-    val tasks = sc.tasks.map(_.id).toDF("task_id")
-    val slots = sc.tasks.flatMap(t => (0 until t.m).map((t.id, _))).toDF("task_id", "slot")
-    val executed = out.executions.map(e => (e.taskId, e.slot)).toDF("task_id", "slot")
-    val sparkDf = ProbabilitySql.probabilities(spark, tasks, executed, params.k, 80)
-    Oracle.assertEquivalent(sparkDf, ProbabilitySql.duckSql(params.k, 80),
-      "slots" -> slots, "executed" -> executed)
+    val bySlots = out.executions.groupBy(_.taskId).view.mapValues(_.map(_.slot)).toMap
+    assertDuckAgrees(sc.tasks.map(t => t.id -> bySlots.getOrElse(t.id, Vector.empty)).toMap,
+      params.k, 80)
   }
 
   test("task with no executions gets p = 0 everywhere") {
-    val (tasks, _, executed) = frames(Map(0 -> Seq.empty[Int]))
-    val probs = ProbabilitySql.probabilities(spark, tasks, executed, k, m)
-    assert(probs.agg(sum(abs(col("p")))).collect()(0).getDouble(0) == 0.0)
+    // every p <= 1/m < 1, so q = -Σ p log2 p is 0 exactly when every p is 0
+    val rows = scored(Map(0 -> Seq.empty[Int]), k, m).collect()
+    assert(rows.map(r => (r.getInt(0), r.getDouble(1))).toSeq == Seq((0, 0.0)))
   }
 
   test("a slot executed twice counts once; a task missing from the task frame is not scored") {
     import spark.implicits._
-    val executed = Seq((0, 3), (0, 3), (0, 9), (1, 4)).toDF("task_id", "slot")
-    val probs = ProbabilitySql.probabilities(spark, Seq(0).toDF("task_id"), executed, k, m)
-      .as[(Int, Int, Double)].collect()
-    val es = new ExecutedSet(m)
-    Seq(3, 9).foreach(es.add)
-    assert(probs.sortBy(_._2).toSeq == (0 until m).map(j => (0, j, Quality.finishProb(j, es, k))))
-  }
-
-  test("registered UDAF quality matches DuckDB entropy aggregation") {
-    val rnd = new Random(83)
-    import spark.implicits._
-    val probsRows = for {
-      t <- 0 until 5
-      s <- 0 until m
-    } yield (t, s, if (rnd.nextBoolean()) rnd.nextDouble() / m else 0.0)
-    val probs = probsRows.toDF("task_id", "slot", "p")
-    val sparkQ = ProbabilitySql.qualities(spark, probs.select($"task_id", $"p"))
-    Oracle.assertEquivalent(sparkQ, ProbabilitySql.duckQualitySql, "probs" -> probs)
-  }
-
-  test("UDAF quality equals the core quality for a real plan") {
-    import spark.implicits._
-    val executedSlots = Seq(2, 5, 11, 17)
-    val es = new ExecutedSet(m)
-    executedSlots.foreach(es.add)
-    val probs = (0 until m).map(j => (0, Quality.finishProb(j, es, k)))
-      .toDF("task_id", "p")
-    val q = ProbabilitySql.qualities(spark, probs).collect()(0).getDouble(1)
-    assert(math.abs(q - Quality.quality(es, k)) < 1e-9)
+    val executed = executionsDf(Seq((0, 3), (0, 3), (0, 9), (1, 4)))
+    val q = AssignPipeline.planQualities(spark, scenario(Map(0 -> Nil), m), executed, k)
+      .as[(Int, Double)].collect()
+    assert(q.toSeq == Seq((0, Quality.qualityOf(m, Seq(3, 9), k))))
   }
 }
