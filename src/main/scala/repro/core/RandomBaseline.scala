@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.core.multi.{MultiOutcome, WorkerPool}
+import repro.core.multi.{Ledger, MultiOutcome}
 import scala.util.Random
 
 /** Rand — the paper's randomized baseline: repeatedly pick a random
@@ -34,48 +34,27 @@ object RandomBaseline {
     AssignmentResult(order.result(), spent, Quality.quality(s, params.k))
   }
 
-  /** Multi-task Rand: random (task, slot) picks assigned to the cheapest
-    * still-free worker until the global budget is exhausted. Each pick is
-    * one commit; Rand evaluates no Δq and registers no conflicts.
+  /** Multi-task Rand: random (task, slot) picks booked with their cheapest
+    * still-free worker whenever that fits the global budget, until every
+    * pick has been drawn. Each booking is one commit; Rand evaluates no Δq.
     */
   def multi(instances: Seq[TaskInstance], budget: Double, params: TcscParams,
             seed: Long): MultiOutcome = {
-    val t0 = System.nanoTime()
     val insts = instances.toIndexedSeq
     val rnd = new Random(seed)
-    val pool = new WorkerPool
-    val orders = insts.map(_ => Vector.newBuilder[Int])
-    val costs = Array.fill(insts.size)(0.0)
-    val execs = Vector.newBuilder[Execution]
-    var spent = 0.0
-    var candidates = (for (i <- insts.indices; j <- 0 until insts(i).m) yield (i, j)).toBuffer
-    var continue = candidates.nonEmpty
-    while (continue) {
-      val idx = rnd.nextInt(candidates.length)
-      val (i, j) = candidates(idx)
-      candidates.remove(idx)
-      val rank = pool.freeRank(insts(i).slots(j), j)
-      if (rank >= 0) {
-        val worker = insts(i).slots(j).workers(rank)
-        val cost = insts(i).slots(j).costs(rank)
-        if (spent + cost <= budget) {
-          require(pool.tryTake(worker, j))
-          orders(i) += j
-          costs(i) += cost
-          execs += Execution(insts(i).task.id, j, worker, cost)
-          spent += cost
-        }
-      }
-      continue = candidates.nonEmpty && spent < budget
+    val ledger = new Ledger(insts, budget)
+    val picks = (for (i <- insts.indices; j <- 0 until insts(i).m) yield (i, j)).toBuffer
+    while (picks.nonEmpty) {
+      val (i, j) = picks.remove(rnd.nextInt(picks.length))
+      if (ledger.affordable(i, j)) ledger.book(i, j)
     }
-    val per = insts.indices.map { i =>
-      val order = orders(i).result()
-      AssignmentResult(order, costs(i), Quality.qualityOf(insts(i).m, order, params.k))
-    }.toVector
-    val ex = execs.result()
-    MultiOutcome(per, ex, spent, per.map(_.quality).sum,
-      if (per.isEmpty) 0.0 else per.map(_.quality).min,
-      commits = ex.size, evals = 0L, conflicts = 0L, wallNanos = System.nanoTime() - t0)
+    val byTask = ledger.executions.groupBy(_.taskId)
+    val per = insts.map { inst =>
+      val es = byTask.getOrElse(inst.task.id, Vector.empty)
+      val order = es.map(_.slot)
+      AssignmentResult(order, es.map(_.cost).sum, Quality.qualityOf(inst.m, order, params.k))
+    }
+    ledger.outcome(per, evals = 0L)
   }
 
   /** Mean quality over `runs` seeds — the paper averages 20 runs. */

@@ -26,20 +26,22 @@ object GroupParallel {
       largestGroup: Int,
   )
 
+  /** Plans the conflict group `members` (indexes into `insts`) with the
+    * task-level lazy greedy at one thread and the budget share
+    * b·|G|/|T|. `run` and the Spark job plan every group with it.
+    */
+  def planGroup(insts: IndexedSeq[TaskInstance], members: Seq[Int], budget: Double,
+                params: TcscParams): MultiOutcome =
+    TaskParallel.run(members.map(insts(_)), budget * members.size / insts.size, params,
+      threads = 1)._1
+
   def run(instances: Seq[TaskInstance], budget: Double, params: TcscParams,
           threads: Int): GroupOutcome = {
     val t0 = System.nanoTime()
     val inst = instances.toIndexedSeq
     val graph = ConflictGraph.build(inst)
-    val total = inst.size.toDouble
     val jobs = graph.groups.map { members =>
-      new Callable[(Vector[Int], MultiOutcome)] {
-        def call(): (Vector[Int], MultiOutcome) = {
-          val share = budget * members.size / total
-          val (out, _) = TaskParallel.run(members.map(inst(_)), share, params, threads = 1)
-          (members, out)
-        }
-      }
+      new Callable[MultiOutcome] { def call(): MultiOutcome = planGroup(inst, members, budget, params) }
     }
     val execPool = Executors.newFixedThreadPool(math.max(1, threads))
     val results =
@@ -48,18 +50,11 @@ object GroupParallel {
 
     // Stitch per-group outputs back into task order.
     val perTask = Array.fill(inst.size)(AssignmentResult(Vector.empty, 0.0, 0.0))
-    val execs = Vector.newBuilder[Execution]
-    var commits = 0; var evals = 0L; var conflicts = 0L
-    for ((members, out) <- results) {
+    for ((members, out) <- graph.groups.zip(results))
       members.zip(out.perTask).foreach { case (tid, r) => perTask(tid) = r }
-      execs ++= out.executions
-      commits += out.commits; evals += out.evals; conflicts += out.conflicts
-    }
-    val per = perTask.toVector
-    val outcome = MultiOutcome(per, execs.result(), per.map(_.totalCost).sum,
-      per.map(_.quality).sum,
-      if (per.isEmpty) 0.0 else per.map(_.quality).min,
-      commits, evals, conflicts, System.nanoTime() - t0)
+    val outcome = MultiOutcome.of(perTask.toVector, results.flatMap(_.executions),
+      results.map(_.commits).sum, results.map(_.evals).sum, results.map(_.conflicts).sum,
+      System.nanoTime() - t0)
     GroupOutcome(outcome, graph.groups.size, graph.groups.map(_.size).maxOption.getOrElse(0))
   }
 }

@@ -6,9 +6,10 @@ import java.util.concurrent.Executors
 /** Task-level parallelization of MSQM (Section IV-A-2, Fig 5).
   *
   * A master loop owns the global best-first heap of candidate subtasks
-  * (`LazyGreedy` over all tasks, costed by the cheapest free worker); a
-  * fixed pool of worker threads concurrently recomputes stale heuristic
-  * values (the expensive part). With one thread they are recomputed inline.
+  * (`LazyGreedy` over all tasks, costed by the cheapest free worker of the
+  * run's `Ledger`, which books every commit); a fixed pool of worker
+  * threads concurrently recomputes stale heuristic values (the expensive
+  * part). With one thread they are recomputed inline.
   * The paper's coordination structures are materialized:
   *
   *  - **Heartbeat Table** — per-task latest heuristic value, refreshed every
@@ -44,50 +45,33 @@ object TaskParallel {
   def run(instances: Seq[TaskInstance], budget: Double, params: TcscParams,
           threads: Int, priority: Boolean = true): (MultiOutcome, Tables) = {
     require(threads >= 1, "threads >= 1")
-    val t0 = System.nanoTime()
     val insts = instances.toIndexedSeq
-    val pool = new WorkerPool
+    val ledger = new Ledger(insts, budget)
     val heartbeat = Array.fill(insts.length)(Double.NaN)
     val conflictTable = Vector.newBuilder[ConflictRecord]
     val logTable = Vector.newBuilder[LogRecord]
-    val execs = Vector.newBuilder[Execution]
-    var commits = 0
-    var conflicts = 0L
 
     val exec = if (threads > 1) Executors.newFixedThreadPool(threads) else null
     try {
-      // A candidate costs its cheapest free worker; none left is +∞.
-      def cost(i: Int, j: Int): Double = {
-        val sc = insts(i).slots(j)
-        val r = pool.freeRank(sc, j)
-        if (r < 0) Double.PositiveInfinity else sc.costs(r)
-      }
-      val g = new LazyGreedy(insts, params.k, budget, cost,
+      val g = new LazyGreedy(insts, params.k, budget, ledger.cost,
         width = if (priority) threads else LazyGreedy.All, exec,
         (i, h) => heartbeat(i) = h)
       var e = g.next()
       while (e != null) {
         val i = e.task
         val j = e.slot
-        val sc = insts(i).slots(j)
-        val rank = pool.freeRank(sc, j)
-        val w = sc.workers(rank)
-        val cost = sc.costs(rank)
-        g.commit(i, j, cost)
-        conflicts += SerialMulti.registerConflicts(g.tasks, pool, i, j, w, { other =>
+        val rank = ledger.freeRank(i, j)
+        // Commit first: a bump dirties a candidate as of this commit.
+        g.commit(i, j, insts(i).slots(j).costs(rank))
+        val ex = ledger.book(i, j, rank, { (other, lost) =>
           g.dirty(other, j) // cost bumped to the next-nearest worker
-          conflictTable += ConflictRecord(Set(i, other), j,
-            pool.rankOf(insts(other).slots(j), w) + 2)
+          conflictTable += ConflictRecord(Set(i, other), j, lost + 2) // 1-based next rank
         })
-        require(pool.tryTake(w, j), "master commit cannot race")
-        commits += 1
         heartbeat(i) = e.h
-        execs += Execution(insts(i).task.id, j, w, cost)
-        logTable += LogRecord(commits, i, j, w, e.h, g.spent)
+        logTable += LogRecord(ledger.commits, i, j, ex.workerId, e.h, g.spent)
         e = g.next()
       }
-      val out = SerialMulti.outcome(g.tasks, execs.result(), commits, g.evals, conflicts,
-        System.nanoTime() - t0)
+      val out = ledger.outcome(g.tasks.map(_.result), g.evals)
       (out, Tables(heartbeat.toVector, conflictTable.result(), logTable.result()))
     } finally if (exec != null) exec.shutdown()
   }

@@ -1,6 +1,7 @@
 package repro.core.st
 
 import repro.core._
+import repro.core.multi.Ledger
 import scala.collection.mutable.ArrayBuffer
 
 /** Spatiotemporal interpolation extension (paper Appendix C, Eq 13–15).
@@ -162,20 +163,14 @@ object SpatioTemporal {
 
   private def greedy(insts: IndexedSeq[TaskInstance], st: StState,
                      budget: Double): (MultiResult, StState) = {
-    val pool = new repro.core.multi.WorkerPool
-    val execs = Vector.newBuilder[Execution]
-    var spent = 0.0
-    def best() = pool.bestAffordable(insts, 0, insts.length, spent, budget,
-      st.isExecuted, st.deltaQ)
-    var p = best()
-    while (p != null) {
-      require(pool.tryTake(p.worker, p.slot), "serial take cannot race")
-      st.insert(p.task, p.slot)
-      spent += p.cost
-      execs += Execution(insts(p.task).task.id, p.slot, p.worker, p.cost)
-      p = best()
+    val ledger = new Ledger(insts, budget)
+    var e = ledger.best(0, insts.length, st.deltaQ)
+    while (e != null) {
+      ledger.book(e.task, e.slot)
+      st.insert(e.task, e.slot)
+      e = ledger.best(0, insts.length, st.deltaQ)
     }
-    (MultiResult(execs.result(), spent), st)
+    (MultiResult(ledger.executions, ledger.spent), st)
   }
 
   /** Score an arbitrary assignment under a (ws, wt) metric — used to compare

@@ -1,11 +1,10 @@
 package repro.expts
 
 import repro.core._
-import repro.core.multi.WorkerPool
+import repro.core.multi.Ledger
 import repro.core.st.SpatioTemporal
 import repro.data.TcscGen
 import Harness.Cell
-import scala.util.Random
 
 /** T11 ≡ Fig 11 — the spatiotemporal interpolation extension.
   *
@@ -20,28 +19,6 @@ object T11SpatioTemporal {
   val DefaultWs = 0.3
   val DefaultWt = 0.7
 
-  private def randPlan(insts: IndexedSeq[TaskInstance], budget: Double,
-                       seed: Long): Vector[Execution] = {
-    val rnd = new Random(seed)
-    val pool = new WorkerPool
-    var spent = 0.0
-    val out = Vector.newBuilder[Execution]
-    val cand = (for (i <- insts.indices; j <- 0 until insts(i).m) yield (i, j)).toBuffer
-    while (cand.nonEmpty) {
-      val (i, j) = cand.remove(rnd.nextInt(cand.length))
-      val rank = pool.freeRank(insts(i).slots(j), j)
-      if (rank >= 0) {
-        val c = insts(i).slots(j).costs(rank)
-        if (spent + c <= budget) {
-          require(pool.tryTake(insts(i).slots(j).workers(rank), j))
-          spent += c
-          out += Execution(insts(i).task.id, j, insts(i).slots(j).workers(rank), c)
-        }
-      }
-    }
-    out.result()
-  }
-
   /** Exact OPT for the tiny ST instance: enumerate subsets of (task, slot)
     * pairs; costs follow a fixed (task, slot)-ascending worker-claim order.
     */
@@ -52,30 +29,19 @@ object T11SpatioTemporal {
     var best = 0.0
     var mask = 1
     while (mask < (1 << pairs.size)) {
-      val pool = new WorkerPool
-      var spent = 0.0
+      val ledger = new Ledger(insts, budget)
       var ok = true
-      val execs = Vector.newBuilder[Execution]
       var b = 0
       while (b < pairs.size && ok) {
         if ((mask & (1 << b)) != 0) {
           val (i, j) = pairs(b)
-          val rank = pool.freeRank(insts(i).slots(j), j)
-          if (rank < 0) ok = false
-          else {
-            val c = insts(i).slots(j).costs(rank)
-            spent += c
-            if (spent > budget) ok = false
-            else {
-              require(pool.tryTake(insts(i).slots(j).workers(rank), j))
-              execs += Execution(insts(i).task.id, j, insts(i).slots(j).workers(rank), c)
-            }
-          }
+          ok = ledger.affordable(i, j)
+          if (ok) ledger.book(i, j)
         }
         b += 1
       }
       if (ok) {
-        val q = SpatioTemporal.scoreUnder(insts.map(_.task), execs.result(), k, ws, wt)
+        val q = SpatioTemporal.scoreUnder(insts.map(_.task), ledger.executions, k, ws, wt)
         if (q > best) best = q
       }
       mask += 1
@@ -96,7 +62,7 @@ object T11SpatioTemporal {
       val (sRes, _) = SpatioTemporal.sApprox(insts, b, k, DefaultWs, DefaultWt)
       val (tRes, _) = SpatioTemporal.temporalOnly(insts, b, k)
       val rQ = (0 until 5).map { s =>
-        SpatioTemporal.scoreUnder(tasks, randPlan(insts.toIndexedSeq, b, seed + 100 + s),
+        SpatioTemporal.scoreUnder(tasks, RandomBaseline.multi(insts, b, params, seed + 100 + s).executions,
           k, DefaultWs, DefaultWt)
       }.sum / 5
       cells += Cell(section, x, "SApprox",

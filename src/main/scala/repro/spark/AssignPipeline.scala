@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{ExecutedSet, Execution, Quality, TcscParams}
-import repro.core.multi.{ConflictGraph, TaskParallel}
+import repro.core.multi.{ConflictGraph, GroupParallel}
 import repro.data.TcscGen
 
 /** The multi-task assignment as a partitioned Spark job (DESIGN.md §3).
@@ -20,7 +20,7 @@ object AssignPipeline {
 
   final case class TaskRow(task_id: Int, x: Double, y: Double, m: Int)
   final case class WorkerRow(worker_id: Int, slot: Int, x: Double, y: Double)
-  final case class GroupedTask(group_id: Int, task_id: Int)
+  final case class GroupedTask(group_id: Int, task_index: Int)
 
   def tasksDf(spark: SparkSession, sc: TcscGen.Scenario): DataFrame = {
     import spark.implicits._
@@ -69,29 +69,22 @@ object AssignPipeline {
     ConflictGraph.components(nTasks, edges)
 
   /** End-to-end: scenario → conflict groups → per-partition greedy →
-    * executions DataFrame. Budget is split b·|G|/|T| per group, as in
-    * `GroupParallel`.
+    * executions DataFrame. Each group is planned by
+    * `GroupParallel.planGroup`, as in `GroupParallel`.
     */
   def assign(spark: SparkSession, sc: TcscGen.Scenario, budgetFraction: Double,
              params: TcscParams): Dataset[Execution] = {
     import spark.implicits._
     val groupOf = ConflictGraph.build(sc.instances).groupOf
     val totalBudget = TcscGen.budgetFor(sc.instances, budgetFraction)
-    val nTasks = sc.tasks.size
-    val instByTask = spark.sparkContext.broadcast(
-      sc.instances.map(i => i.task.id -> i).toMap)
+    val bInsts = spark.sparkContext.broadcast(sc.instances)
     val bParams = spark.sparkContext.broadcast(params)
 
-    val grouped = sc.instances.indices
-      .map(i => GroupedTask(groupOf(i), sc.instances(i).task.id)).toDS()
-    grouped
+    sc.instances.indices.map(i => GroupedTask(groupOf(i), i)).toDS()
       .groupByKey(_.group_id)
       .flatMapGroups { (_, rows) =>
-        val members = rows.map(_.task_id).toVector.sorted
-        val insts = members.map(instByTask.value(_))
-        val share = totalBudget * members.size / nTasks
-        val (out, _) = TaskParallel.run(insts, share, bParams.value, threads = 1)
-        out.executions.iterator
+        val members = rows.map(_.task_index).toVector.sorted
+        GroupParallel.planGroup(bInsts.value, members, totalBudget, bParams.value).executions.iterator
       }
   }
 
@@ -102,7 +95,8 @@ object AssignPipeline {
     * One keyed fold, one job of two stages: a marker pair per listed task is
     * unioned with the plan's `(taskId, slot)` pairs, and `combineByKey` ORs
     * each task's slots into a bitmap of m bits plus one "listed" word (map
-    * side), then ORs the bitmaps (reduce side). Each listed bitmap fills an
+    * side), then ORs the bitmaps in one reduce task: there is one small
+    * bitmap per task, too little to spread. Each listed bitmap fills an
     * `ExecutedSet` that `Quality.quality` scores. A slot executed twice
     * counts once; a slot outside [0, m) fails the map step with
     * `ExecutedSet`'s message; executions of a task not in `sc.tasks` are not
@@ -131,7 +125,7 @@ object AssignPipeline {
       a
     }
     listed.union(slots)
-      .combineByKey((s: Long) => add(new Array[Long](listedWord + 1), s), add, or)
+      .combineByKey((s: Long) => add(new Array[Long](listedWord + 1), s), add, or, 1)
       .flatMap { case (t, bits) =>
         if (bits(listedWord) == 0L) None
         else {

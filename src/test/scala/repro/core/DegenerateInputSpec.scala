@@ -86,6 +86,10 @@ class DegenerateInputSpec extends AnyFunSuite {
     case ((x, y), i) => TaskInstance(Task(i, x, y, 6), Array.fill(6)(SlotCandidates(Array(0), Array(0.1))))
   }
 
+  /** Even slots list their workers at cost 0, odd slots at their distances. */
+  private val zeroCostEven =
+    mapSlots(scenario(3, 10, 60, 211))((_, j, s) => if (j % 2 == 0) s.copy(costs = s.costs.map(_ => 0.0)) else s)
+
   /** (name, instances, budget, plans must be empty). */
   private val inputs: Seq[(String, IndexedSeq[TaskInstance], Double, Boolean)] = {
     val noWorkers = mapSlots(scenario(4, 16, 120, 209))((i, j, s) => if (i == 0 || j % 2 == 1) none else s)
@@ -95,11 +99,18 @@ class DegenerateInputSpec extends AnyFunSuite {
       ("zero budget", scenario(4, 12, 80, 201), 0.0, true),
       ("slots with no workers", noWorkers, TcscGen.budgetFor(noWorkers, 0.5), false),
       ("m < k (m = 2, k = 3)", smallM, TcscGen.budgetFor(smallM, 1.0), false),
-      ("zero-cost candidates under zero budget",
-        mapSlots(scenario(3, 10, 60, 211))((_, j, s) => if (j % 2 == 0) s.copy(costs = s.costs.map(_ => 0.0)) else s),
-        0.0, false),
+      ("zero-cost candidates under zero budget", zeroCostEven, 0.0, false),
       ("all-conflicting tasks (one worker listed by every slot)", allConflicting, 10.0, false),
     )
+  }
+
+  test("Rand multi books every zero-cost subtask under zero budget") {
+    // The draws go on while a pick is left, not only while budget is left.
+    val evenSlots = for (inst <- zeroCostEven; j <- 0 until inst.m by 2) yield (inst.task.id, j)
+    for (seed <- 1L to 5L) {
+      val out = RandomBaseline.multi(zeroCostEven, 0.0, params, seed)
+      assert(out.executions.map(e => (e.taskId, e.slot)).sorted == evenSlots, s"seed $seed")
+    }
   }
 
   for ((name, insts, budget, expectEmpty) <- inputs) test(name) {

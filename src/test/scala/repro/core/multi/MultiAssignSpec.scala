@@ -258,6 +258,28 @@ class MultiAssignSpec extends AnyFunSuite {
     assert(p.freeRank(sc, 0) == 1)
     p.tryTake(11, 0); p.tryTake(12, 0)
     assert(p.freeRank(sc, 0) == -1)
-    assert(p.rankOf(sc, 11) == 1 && p.rankOf(sc, 99) == -1)
+  }
+
+  test("Ledger: cheapest free worker, bumps, +inf when taken, spend and commits") {
+    // Tasks 0 and 1 list workers 10, 11 at slot 0; task 2 lists 11 only.
+    // Worker 10 costs 1, worker 11 costs 2.
+    val insts = Vector(Seq(10, 11), Seq(10, 11), Seq(11)).zipWithIndex.map { case (ws, i) =>
+      TaskInstance(Task(i, 0.5, 0.5, 1), Array(SlotCandidates(ws.toArray, ws.map(w => (w - 9).toDouble).toArray)))
+    }
+    val l = new Ledger(insts, budget = 10.0)
+    assert(l.cost(0, 0) == 1.0 && l.freeRank(0, 0) == 0)
+    val bumps = Vector.newBuilder[(Int, Int)]
+    val e0 = l.book(0, 0, l.freeRank(0, 0), (o, r) => bumps += ((o, r)))
+    assert(e0 == Execution(0, 0, 10, 1.0))
+    assert(bumps.result() == Vector((1, 0)), "task 1 loses worker 10 at rank 0; task 2 never listed it")
+    assert(l.cost(1, 0) == 2.0 && l.freeRank(1, 0) == 1)
+    assert(l.book(1, 0) == Execution(1, 0, 11, 2.0))
+    assert(l.cost(2, 0) == Double.PositiveInfinity && l.freeRank(2, 0) == -1)
+    assert(!l.affordable(2, 0))
+    assert(!new Ledger(insts, budget = 0.5).affordable(0, 0), "over the budget")
+    assert(l.spent == 3.0 && l.commits == 2)
+    val out = l.outcome(insts.map(_ => AssignmentResult(Vector.empty, 0.0, 0.0)), evals = 0L)
+    assert(out.executions == Vector(e0, Execution(1, 0, 11, 2.0)))
+    assert(out.commits == 2 && out.conflicts == 2, "booking 11 also bumped task 2")
   }
 }

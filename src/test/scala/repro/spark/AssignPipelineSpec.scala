@@ -6,7 +6,7 @@ import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import repro.{PlanCheck, SparkSpec}
 import repro.core.{Execution, Quality, Task, TcscParams}
-import repro.core.multi.{ConflictGraph, TaskParallel}
+import repro.core.multi.{GroupParallel, TaskParallel}
 import repro.data.TcscGen
 
 /** End-to-end Spark assignment pipeline vs the driver-side engine. */
@@ -48,14 +48,9 @@ class AssignPipelineSpec extends SparkSpec {
     val sparkExecs = execsDs.collect().toVector
       .sortBy(e => (e.taskId, e.slot))
 
-    // Rebuild the same groups and run the same per-group serial greedy.
     val budget = TcscGen.budgetFor(sc.instances, 0.25)
-    val expected = ConflictGraph.build(sc.instances).groups.flatMap { ids =>
-      val share = budget * ids.size / sc.tasks.size
-      val (out, _) = TaskParallel.run(ids.map(sc.instances(_)), share, params, 1)
-      out.executions
-    }.sortBy(e => (e.taskId, e.slot))
-
+    val expected = GroupParallel.run(sc.instances, budget, params, threads = 2).outcome.executions
+      .sortBy(e => (e.taskId, e.slot))
     assert(sparkExecs == expected)
   }
 
@@ -130,11 +125,14 @@ class AssignPipelineSpec extends SparkSpec {
     val ctx = spark.sparkContext
     val jobs = new AtomicInteger
     val stages = new AtomicInteger
+    val reduceTasks = new AtomicInteger(-1) // tasks of the job's last stage
     val drained = new CountDownLatch(1)
     def group(props: Properties) = Option(props).map(_.getProperty("spark.jobGroup.id")).orNull
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = group(e.properties) match {
-        case "score" => jobs.incrementAndGet()
+        case "score" =>
+          jobs.incrementAndGet()
+          reduceTasks.set(e.stageInfos.maxBy(_.stageId).numTasks)
         case "sentinel" => drained.countDown()
         case _ =>
       }
@@ -156,5 +154,6 @@ class AssignPipelineSpec extends SparkSpec {
     }
     assert(jobs.get == 1, "jobs")
     assert(stages.get == 2, "stages")
+    assert(reduceTasks.get == 1, "reduce tasks")
   }
 }
