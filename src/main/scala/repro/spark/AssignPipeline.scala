@@ -1,7 +1,9 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, IntegerType, StructField, StructType}
+import scala.jdk.CollectionConverters._
 import repro.core.{ExecutedSet, Execution, Quality, TcscParams}
 import repro.core.multi.{ConflictGraph, GroupParallel}
 import repro.data.TcscGen
@@ -14,7 +16,8 @@ import repro.data.TcscGen
   * thread on its own partition via `groupByKey(group).flatMapGroups` —
   * Spark partitions play the paper's computation cores. Instances travel to
   * executors via a broadcast of the deterministic scenario. `planQualities`
-  * scores a plan with one keyed fold and the core's quality metric.
+  * scores a plan with the core's quality metric in one shuffle-free stage:
+  * a per-partition bitmap fold merged and scored on the driver.
   */
 object AssignPipeline {
 
@@ -89,54 +92,59 @@ object AssignPipeline {
   }
 
   /** Quality of an executions plan, computed in Spark with the core's own
-    * metric: one `(task_id, q)` row per task of `sc.tasks`, q equal to
-    * `Quality.qualityOf` bit for bit. Every task must share one horizon m.
+    * metric: one `(task_id, q)` row per task of `sc.tasks`, in that order,
+    * q equal to `Quality.qualityOf` bit for bit. Every task must share one
+    * horizon m and have its own id. `executions` needs `int` columns
+    * `taskId` and `slot`; they are read by name, so other columns and their
+    * order do not matter.
     *
-    * One keyed fold, one job of two stages: a marker pair per listed task is
-    * unioned with the plan's `(taskId, slot)` pairs, and `combineByKey` ORs
-    * each task's slots into a bitmap of m bits plus one "listed" word (map
-    * side), then ORs the bitmaps in one reduce task: there is one small
-    * bitmap per task, too little to spread. Each listed bitmap fills an
-    * `ExecutedSet` that `Quality.quality` scores. A slot executed twice
-    * counts once; a slot outside [0, m) fails the map step with
-    * `ExecutedSet`'s message; executions of a task not in `sc.tasks` are not
-    * scored.
+    * One job of one stage and no shuffle: `RDD.aggregate` folds each
+    * partition's `(taskId, slot)` rows into one bitmap of |T| × ⌈m/64⌉
+    * words, indexed by the task's position in `sc.tasks`, and the driver ORs
+    * the partitions' bitmaps, fills one `ExecutedSet` per task and scores it
+    * with `Quality.quality`. A slot executed twice counts once; a slot
+    * outside [0, m) fails the fold; executions of a task not in `sc.tasks`
+    * are not scored. The result is a local relation, so collecting it starts
+    * no job. A keyed or tree aggregate would shuffle the bitmaps, and Spark
+    * serialises a primitive-array shuffle with Kryo, which fails in a JVM
+    * without `--add-opens` (DESIGN.md §3).
     */
   def planQualities(spark: SparkSession, sc: TcscGen.Scenario,
                     executions: DataFrame, k: Int): DataFrame = {
-    import spark.implicits._
     val m = sc.tasks.headOption.fold(1)(_.m) // no rows to score when empty
     require(sc.tasks.forall(_.m == m),
       s"planQualities scores one horizon; tasks have m in ${sc.tasks.map(_.m).distinct.sorted.mkString(", ")}")
-    val listedWord = (m + 63) >>> 6 // the bitmap's last word flags a listed task
-    val listed = spark.sparkContext.parallelize(sc.tasks.map(t => (t.id, Listed)), 1)
-    val slots = executions.select($"taskId", $"slot".cast("long")).as[(Int, Long)].rdd
-    def add(bits: Array[Long], s: Long): Array[Long] = {
-      if (s == Listed) bits(listedWord) = 1L
-      else {
+    require(sc.tasks.map(_.id).distinct.size == sc.tasks.size,
+      "planQualities scores each task once; sc.tasks lists a task id twice")
+    def intColumn(name: String): Int = {
+      val i = executions.schema.fieldNames.indexOf(name)
+      require(i >= 0 && executions.schema(i).dataType == IntegerType,
+        s"planQualities reads an int column $name; executions has ${executions.schema.simpleString}")
+      i
+    }
+    val (taskCol, slotCol) = (intColumn("taskId"), intColumn("slot"))
+    val words = (m + 63) >>> 6
+    val position = sc.tasks.iterator.map(_.id).zipWithIndex.toMap
+    val bits = executions.queryExecution.toRdd.aggregate(new Array[Long](sc.tasks.size * words))(
+      (acc, row) => {
+        require(!row.isNullAt(taskCol) && !row.isNullAt(slotCol), "planQualities reads no null taskId or slot")
+        val s = row.getInt(slotCol)
         require(s >= 0 && s < m, s"slot $s out of [0, $m)")
-        bits(s.toInt >>> 6) |= 1L << s
-      }
-      bits
+        position.get(row.getInt(taskCol)).foreach(p => acc(p * words + (s >>> 6)) |= 1L << s)
+        acc
+      },
+      (a, b) => {
+        var i = 0
+        while (i < a.length) { a(i) |= b(i); i += 1 }
+        a
+      })
+    val rows = sc.tasks.indices.map { p =>
+      val es = new ExecutedSet(m)
+      for (j <- 0 until m if (bits(p * words + (j >>> 6)) & (1L << j)) != 0L) es.add(j)
+      Row(sc.tasks(p).id, Quality.quality(es, k))
     }
-    def or(a: Array[Long], b: Array[Long]): Array[Long] = {
-      var i = 0
-      while (i <= listedWord) { a(i) |= b(i); i += 1 }
-      a
-    }
-    listed.union(slots)
-      .combineByKey((s: Long) => add(new Array[Long](listedWord + 1), s), add, or, 1)
-      .flatMap { case (t, bits) =>
-        if (bits(listedWord) == 0L) None
-        else {
-          val es = new ExecutedSet(m)
-          for (j <- 0 until m if (bits(j >>> 6) & (1L << j)) != 0L) es.add(j)
-          Some((t, Quality.quality(es, k)))
-        }
-      }
-      .toDF("task_id", "q")
+    spark.createDataFrame(rows.asJava,
+      StructType(Seq(StructField("task_id", IntegerType, nullable = false),
+        StructField("q", DoubleType, nullable = false))))
   }
-
-  /** The value of a listed task's marker pair; no `Int` slot maps to it. */
-  private final val Listed = Long.MinValue
 }

@@ -1,9 +1,6 @@
 package repro.spark
 
-import java.util.Properties
-import java.util.concurrent.{CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
+import org.apache.spark.sql.DataFrame
 import repro.{PlanCheck, SparkSpec}
 import repro.core.{Execution, Quality, Task, TcscParams}
 import repro.core.multi.{GroupParallel, TaskParallel}
@@ -119,41 +116,50 @@ class AssignPipelineSpec extends SparkSpec {
     }
   }
 
-  test("planQualities runs one job of two stages") {
+  test("planQualities runs one job of one stage with no shuffle") {
     import spark.implicits._
     val (out, _) = TaskParallel.run(sc.instances, TcscGen.budgetFor(sc.instances, 0.25), params, 1)
-    val ctx = spark.sparkContext
-    val jobs = new AtomicInteger
-    val stages = new AtomicInteger
-    val reduceTasks = new AtomicInteger(-1) // tasks of the job's last stage
-    val drained = new CountDownLatch(1)
-    def group(props: Properties) = Option(props).map(_.getProperty("spark.jobGroup.id")).orNull
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = group(e.properties) match {
-        case "score" =>
-          jobs.incrementAndGet()
-          reduceTasks.set(e.stageInfos.maxBy(_.stageId).numTasks)
-        case "sentinel" => drained.countDown()
-        case _ =>
-      }
-      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
-        if (group(e.properties) == "score") stages.incrementAndGet()
+    val execs = out.executions.toDF()
+    val (scored, shape) = jobShape(AssignPipeline.planQualities(spark, sc, execs, params.k))
+    assert(shape.jobs == 1, "jobs")
+    assert(shape.stages == 1, "stages")
+    assert(shape.tasks == execs.rdd.getNumPartitions, "one task per partition of the plan")
+    assert(shape.shuffleWriteBytes == 0L, "shuffle-write bytes")
+    val (rows, collected) = jobShape(scored.as[(Int, Double)].collect())
+    assert(rows.length == sc.tasks.size)
+    assert(collected.jobs == 0, "collecting the scored frame starts no job")
+  }
+
+  test("planQualities reads taskId and slot by name and rejects other types") {
+    import spark.implicits._
+    val t = sc.tasks.head.id
+    val plan = Seq((t, 3), (t, 9), (t, 17))
+    val expected = Quality.qualityOf(sc.tasks.head.m, plan.map(_._2), params.k)
+    def q(df: DataFrame) =
+      AssignPipeline.planQualities(spark, sc, df, params.k).as[(Int, Double)].collect().toMap
+    val permuted = plan.map { case (tt, s) => (2.5, s, "x", tt) }.toDF("cost", "slot", "note", "taskId")
+    assert(q(permuted)(t) == expected, "permuted and extra columns")
+    val broken = Seq(
+      "taskId" -> plan.toDF("task", "slot"),
+      "slot" -> plan.map { case (tt, s) => (tt, s.toLong) }.toDF("taskId", "slot"),
+      "taskId" -> plan.map { case (tt, s) => (tt.toLong, s) }.toDF("taskId", "slot"))
+    for ((column, df) <- broken) {
+      val err = intercept[IllegalArgumentException](AssignPipeline.planQualities(spark, sc, df, params.k))
+      assert(err.getMessage.contains(s"int column $column"), err.getMessage)
     }
-    ctx.addSparkListener(listener)
-    try {
-      ctx.setJobGroup("score", "planQualities")
-      AssignPipeline.planQualities(spark, sc, out.executions.toDF(), params.k).collect()
-      // the bus delivers events in order: once the sentinel's job start
-      // arrives, every event of the scoring query has been seen
-      ctx.setJobGroup("sentinel", "listener sentinel")
-      ctx.parallelize(Seq(1), 1).count()
-      assert(drained.await(30, TimeUnit.SECONDS), "listener bus did not drain")
-    } finally {
-      ctx.clearJobGroup()
-      ctx.removeSparkListener(listener)
+    val nulls = Seq((t, Option(3)), (t, None)).toDF("taskId", "slot")
+    val err = intercept[Exception](AssignPipeline.planQualities(spark, sc, nulls, params.k))
+    val causes = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null).toSeq
+    assert(causes.exists(c => String.valueOf(c.getMessage).contains("no null taskId or slot")), err)
+  }
+
+  test("planQualities rejects a task id listed twice") {
+    import spark.implicits._
+    val tasks = Vector(Task(4, 0.2, 0.2, 20), Task(4, 0.7, 0.7, 20))
+    val twice = TcscGen.Scenario(tasks, Vector.empty, Vector.empty)
+    val err = intercept[IllegalArgumentException] {
+      AssignPipeline.planQualities(spark, twice, Seq(Execution(4, 5, 0, 1.0)).toDF(), params.k)
     }
-    assert(jobs.get == 1, "jobs")
-    assert(stages.get == 2, "stages")
-    assert(reduceTasks.get == 1, "reduce tasks")
+    assert(err.getMessage.contains("task id twice"))
   }
 }

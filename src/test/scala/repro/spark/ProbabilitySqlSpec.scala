@@ -5,6 +5,8 @@ import repro.{Oracle, SparkSpec}
 import repro.core.{Execution, Quality, Task, TcscParams}
 import repro.core.multi.TaskParallel
 import repro.data.TcscGen
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import scala.util.Random
 
 /** Spark plan scoring (`AssignPipeline.planQualities`) vs the core metric
@@ -117,5 +119,30 @@ class ProbabilitySqlSpec extends SparkSpec {
     val q = AssignPipeline.planQualities(spark, scenario(Map(0 -> Nil), m), executed, k)
       .as[(Int, Double)].collect()
     assert(q.toSeq == Seq((0, Quality.qualityOf(m, Seq(3, 9), k))))
+  }
+
+  test("property: bitmap words and partitions do not change q, bit for bit") {
+    import spark.implicits._
+    // m on both sides of each 64-bit word boundary; k below, at and above m
+    val plans = for {
+      m <- Gen.oneOf(1, 63, 64, 65, 127, 128, 200)
+      k <- Gen.oneOf(1, 3, m + 1)
+      picked <- Gen.choose(1, 6).flatMap(Gen.pick(_, 0 until 12))
+      listed <- Gen.long.map(s => new Random(s).shuffle(picked.toVector)) // any order of sc.tasks
+      ids = listed ++ Seq(40, 41) // two tasks that sc.tasks does not list
+      slot = Gen.frequency(3 -> Gen.choose(0, m - 1), 1 -> Gen.oneOf(Seq(0, 63, 64, 127, 128, m - 1).filter(_ < m)))
+      plan <- Gen.listOfN(m * 2, Gen.zip(Gen.oneOf(ids), slot)).flatMap(Gen.someOf(_))
+      partitions <- Gen.choose(1, 4)
+    } yield (m, k, listed, plan.toSeq, partitions)
+    val prop = Prop.forAllNoShrink(plans) { case (m, k, listed, plan, partitions) =>
+      val sc = TcscGen.Scenario(listed.map(Task(_, 0.5, 0.5, m)), Vector.empty, Vector.empty)
+      val execs = executionsDf(plan).repartition(partitions)
+      val q = AssignPipeline.planQualities(spark, sc, execs, k).as[(Int, Double)].collect()
+      val expected = listed.map(t => (t, Quality.qualityOf(m, plan.collect { case (`t`, s) => s }, k)))
+      Prop(q.toSeq == expected) :| s"m=$m k=$k partitions=$partitions tasks=$listed: ${q.toSeq} != $expected"
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(40)
+      .withInitialSeed(Seed(1201L)).withWorkers(1), prop)
+    assert(result.passed, result.status)
   }
 }
