@@ -11,7 +11,8 @@ class T9Bench extends AnyFunSuite {
     def series(section: String, s: String): Seq[(String, Double)] =
       cells.filter(c => c.section == section && c.series == s).map(c => (c.x, c.value))
 
-    // (a) finer-grained parallelization wins at the largest core count.
+    // (a) task-level, timed once at one thread, beats basic (whose time
+    // does not depend on the core count).
     val basicAt8 = series("Fig9a:time_vs_cores", "basic").last._2
     val taskAt8  = series("Fig9a:time_vs_cores", "task").last._2
     assert(taskAt8 < basicAt8,

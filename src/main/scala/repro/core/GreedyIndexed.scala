@@ -39,7 +39,7 @@ object GreedyIndexed {
 
   def run(inst: TaskInstance, budget: Double, params: TcscParams): IndexedOutcome = {
     val cost = Array.tabulate(inst.m)(inst.cost)
-    val g = new LazyGreedy(Vector(inst), params.k, budget, (_, j) => cost(j), width = 1)
+    val g = new LazyGreedy(Vector(inst), params.k, budget, (_, j) => cost(j), refreshAll = false)
     val task = g.tasks.head
 
     var iterations = 0

@@ -1,8 +1,6 @@
 package repro.core
 
-import java.util.concurrent.{Callable, ExecutorService}
 import scala.collection.mutable
-import scala.jdk.CollectionConverters._
 
 /** One task's state in a greedy run: its incremental quality, its singleton
   * qualities and the plan so far. `ent` is `QualityState.entropyTable` of the
@@ -50,12 +48,13 @@ object TaskCtx {
   *  - `cost(task, slot)`: the current cost of a candidate, +∞ when no worker
   *    can execute it. It may only grow, and only at a commit; a rise must be
   *    reported with `dirty`.
-  *  - `width`: how many stale candidates one refresh re-evaluates. At width
-  *    1 the stale top's key is rewritten in place and sifted down. A wider
-  *    batch takes stale tops until it is full or the top is fresh;
-  *    `LazyGreedy.All` instead refreshes every stale candidate in the heap.
-  *    With an `exec`, a batch is evaluated on its threads; otherwise inline.
+  *  - `refreshAll`: false rewrites the stale top's key in place and sifts it
+  *    down, so only candidates that reach the top are re-evaluated; true
+  *    re-evaluates every stale candidate in the heap, in id order, then
+  *    re-heapifies (the task-level framework without priorities, Fig 9 (f)).
   *
+  * Refreshes run inline on the calling thread: a Δq takes well under a
+  * microsecond, far less than handing it to another thread.
   * `refreshed(task, h)` sees every re-evaluated value (the Heartbeat Table).
   * `commit` must execute the candidate `next` just returned.
   */
@@ -64,12 +63,10 @@ final class LazyGreedy(
     k: Int,
     budget: Double,
     cost: (Int, Int) => Double,
-    width: Int,
-    exec: ExecutorService = null,
+    refreshAll: Boolean,
     refreshed: (Int, Double) => Unit = (_, _) => (),
 ) {
   import LazyGreedy._
-  require(width >= 1, s"width = $width, need width >= 1")
 
   val tasks: IndexedSeq[TaskCtx] = TaskCtx.all(insts, k)
   var spent = 0.0
@@ -87,8 +84,7 @@ final class LazyGreedy(
   private var version = 0
   private val heap = new Array[Int](n)
   private var size = 0
-  private val batch = new Array[Int](if (width == 1) 0 else math.min(width, n))
-  private val gains = new Array[Double](batch.length)
+  private val stale = new Array[Int](if (refreshAll) n else 0)
 
   // Nothing is executed yet, so every marginal is a singleton quality.
   for (i <- tasks.indices; j <- 0 until tasks(i).inst.m) {
@@ -108,14 +104,8 @@ final class LazyGreedy(
       val c = cost(task, slot)
       if (!affordable(c)) removeTop()
       else if (fresh(id)) { removeTop(); return Entry(h(id), task, slot) }
-      else if (width == 1) {
-        val v = ratio(tasks(task).deltaQ(slot), c)
-        evals += 1
-        h(id) = v
-        evalVer(id) = version
-        refreshed(task, v)
-        siftDown(0)
-      } else refreshBatch()
+      else if (refreshAll) refreshStale()
+      else { refresh(id, c); siftDown(0) }
     }
     null
   }
@@ -148,69 +138,43 @@ final class LazyGreedy(
 
   private def fresh(id: Int): Boolean = evalVer(id) >= dirtyVer(id)
 
-  /** Re-evaluates a batch of stale candidates (the top first), then puts
-    * the affordable ones back in id order, so the heartbeat does not depend
-    * on how the batch was evaluated. Unaffordable candidates met on the way
-    * leave the heap.
-    */
-  private def refreshBatch(): Unit = {
-    var nb = 0
-    if (width == All) {
-      var kept = 0
-      var p = 0
-      while (p < size) {
-        val id = heap(p)
-        if (affordable(costOf(id))) {
-          if (fresh(id)) { heap(kept) = id; kept += 1 }
-          else { batch(nb) = id; nb += 1 }
-        }
-        p += 1
-      }
-      size = kept
-    } else {
-      var stop = false
-      while (!stop && size > 0) {
-        val id = heap(0)
-        if (!affordable(costOf(id))) removeTop()
-        else if (fresh(id)) stop = true
-        else { batch(nb) = id; nb += 1; removeTop(); stop = nb == batch.length }
-      }
-    }
-    java.util.Arrays.sort(batch, 0, nb)
-    evaluate(nb)
-    var b = 0
-    while (b < nb) {
-      val id = batch(b)
-      val c = costOf(id)
-      if (affordable(c)) {
-        h(id) = ratio(gains(b), c)
-        evalVer(id) = version
-        refreshed(taskOf(id), h(id))
-        heap(size) = id
-        size += 1
-        if (width != All) siftUp(size - 1)
-      }
-      b += 1
-    }
-    evals += nb
-    if (width == All) heapify()
+  /** Re-evaluates candidate `id` at its current cost `c`. */
+  private def refresh(id: Int, c: Double): Unit = {
+    val task = taskOf(id)
+    val v = ratio(tasks(task).deltaQ(id - off(task)), c)
+    evals += 1
+    h(id) = v
+    evalVer(id) = version
+    refreshed(task, v)
   }
 
-  /** Δq of the first `nb` batch candidates into `gains`. */
-  private def evaluate(nb: Int): Unit =
-    if (exec == null || nb == 1) {
-      var b = 0
-      while (b < nb) { gains(b) = gain(batch(b)); b += 1 }
-    } else {
-      val jobs = (0 until nb).map { b => val id = batch(b); (() => gain(id)): Callable[Double] }
-      val results = exec.invokeAll(jobs.asJava)
-      var b = 0
-      while (b < nb) { gains(b) = results.get(b).get(); b += 1 }
+  /** Drops the unaffordable candidates, re-evaluates every stale one in id
+    * order (so the heartbeat does not depend on the heap's layout) and
+    * re-heapifies.
+    */
+  private def refreshStale(): Unit = {
+    var ns = 0
+    var kept = 0
+    var p = 0
+    while (p < size) {
+      val id = heap(p)
+      if (affordable(costOf(id))) {
+        if (fresh(id)) { heap(kept) = id; kept += 1 }
+        else { stale(ns) = id; ns += 1 }
+      }
+      p += 1
     }
-
-  private def gain(id: Int): Double = {
-    val task = taskOf(id)
-    tasks(task).deltaQ(id - off(task))
+    java.util.Arrays.sort(stale, 0, ns)
+    var b = 0
+    while (b < ns) {
+      val id = stale(b)
+      refresh(id, costOf(id))
+      heap(kept) = id
+      kept += 1
+      b += 1
+    }
+    size = kept
+    heapify()
   }
 
   /** `a` pops before `b`: larger h by `Double.compare`, then smaller id. */
@@ -237,13 +201,6 @@ final class LazyGreedy(
     heap(p) = id
   }
 
-  private def siftUp(from: Int): Unit = {
-    val id = heap(from)
-    var p = from
-    while (p > 0 && above(id, heap((p - 1) >> 1))) { heap(p) = heap((p - 1) >> 1); p = (p - 1) >> 1 }
-    heap(p) = id
-  }
-
   private def removeTop(): Unit = {
     size -= 1
     if (size > 0) { heap(0) = heap(size); siftDown(0) }
@@ -256,9 +213,6 @@ final class LazyGreedy(
 }
 
 object LazyGreedy {
-  /** `width` that refreshes every stale candidate before each commit. */
-  val All: Int = Int.MaxValue
-
   private val Eps = 1e-12
 
   /** The budgeted ratio rule's heuristic value: gain per unit cost, with a

@@ -27,17 +27,15 @@ object GroupParallel {
   )
 
   /** Plans the conflict group `members` (indexes into `insts`) with the
-    * task-level lazy greedy at one thread and the budget share
-    * b·|G|/|T|. `run` and the Spark job plan every group with it.
+    * task-level lazy greedy and the budget share b·|G|/|T|. `run` and the
+    * Spark job plan every group with it.
     */
   def planGroup(insts: IndexedSeq[TaskInstance], members: Seq[Int], budget: Double,
                 params: TcscParams): MultiOutcome =
-    TaskParallel.run(members.map(insts(_)), budget * members.size / insts.size, params,
-      threads = 1)._1
+    TaskParallel.run(members.map(insts(_)), budget * members.size / insts.size, params)._1
 
   def run(instances: Seq[TaskInstance], budget: Double, params: TcscParams,
           threads: Int): GroupOutcome = {
-    val t0 = System.nanoTime()
     val inst = instances.toIndexedSeq
     val graph = ConflictGraph.build(inst)
     val jobs = graph.groups.map { members =>
@@ -53,8 +51,7 @@ object GroupParallel {
     for ((members, out) <- graph.groups.zip(results))
       members.zip(out.perTask).foreach { case (tid, r) => perTask(tid) = r }
     val outcome = MultiOutcome.of(perTask.toVector, results.flatMap(_.executions),
-      results.map(_.commits).sum, results.map(_.evals).sum, results.map(_.conflicts).sum,
-      System.nanoTime() - t0)
+      results.map(_.commits).sum, results.map(_.evals).sum, results.map(_.conflicts).sum)
     GroupOutcome(outcome, graph.groups.size, graph.groups.map(_.size).maxOption.getOrElse(0))
   }
 }

@@ -11,10 +11,11 @@ import repro.core.{AssignmentResult, Execution, LazyGreedy, TaskInstance}
   * the executions in commit order. Task `i` is `insts(i)`. Every multi-task
   * path books through one ledger: the lazy greedy (task-level, and per group
   * for group-level and Spark), the eager baselines (basic, MMQM, SApprox),
-  * Rand and T11's exact OPT. Only the thread that books touches it.
+  * Rand and T11's exact OPT. A ledger is not thread-safe: each run uses its
+  * own from one thread, and the group-level framework and the Spark job give
+  * every conflict group its own run.
   */
 final class Ledger(insts: IndexedSeq[TaskInstance], budget: Double) {
-  private val t0 = System.nanoTime()
   private val pool = new WorkerPool
   private val booked = insts.map(inst => new Array[Boolean](inst.m))
   private val execs = Vector.newBuilder[Execution]
@@ -102,6 +103,5 @@ final class Ledger(insts: IndexedSeq[TaskInstance], budget: Double) {
 
   /** The run's outcome; `perTask` follows `insts`. */
   def outcome(perTask: Seq[AssignmentResult], evals: Long): MultiOutcome =
-    MultiOutcome.of(perTask.toVector, executions, commitCount, evals, conflictCount,
-      System.nanoTime() - t0)
+    MultiOutcome.of(perTask.toVector, executions, commitCount, evals, conflictCount)
 }

@@ -12,7 +12,6 @@ final case class MultiOutcome(
     commits: Int,
     evals: Long,
     conflicts: Long,
-    wallNanos: Long,
 )
 
 object MultiOutcome {
@@ -20,10 +19,10 @@ object MultiOutcome {
     * `perTask`; q_min of no tasks is 0.
     */
   def of(perTask: Vector[AssignmentResult], executions: Vector[Execution], commits: Int,
-         evals: Long, conflicts: Long, wallNanos: Long): MultiOutcome =
+         evals: Long, conflicts: Long): MultiOutcome =
     MultiOutcome(perTask, executions, perTask.map(_.totalCost).sum, perTask.map(_.quality).sum,
       if (perTask.isEmpty) 0.0 else perTask.map(_.quality).min,
-      commits, evals, conflicts, wallNanos)
+      commits, evals, conflicts)
 }
 
 /** Serial multi-task assignment (Section IV).

@@ -1,15 +1,16 @@
 package repro.core.multi
 
 import repro.core._
-import java.util.concurrent.Executors
 
 /** Task-level parallelization of MSQM (Section IV-A-2, Fig 5).
   *
   * A master loop owns the global best-first heap of candidate subtasks
   * (`LazyGreedy` over all tasks, costed by the cheapest free worker of the
-  * run's `Ledger`, which books every commit); a fixed pool of worker
-  * threads concurrently recomputes stale heuristic values (the expensive
-  * part). With one thread they are recomputed inline.
+  * run's `Ledger`, which books every commit). The paper hands stale
+  * heuristic values to worker threads; here the master recomputes them
+  * inline, because a Δq costs well under a microsecond and a hand-off to a
+  * pool costs far more (4 threads ran about 8× slower than 1 at the T9
+  * defaults, with the same plan; EXPERIMENTS.md T9).
   * The paper's coordination structures are materialized:
   *
   *  - **Heartbeat Table** — per-task latest heuristic value, refreshed every
@@ -22,14 +23,17 @@ import java.util.concurrent.Executors
   *
   * Because q is monotone submodular and per-slot costs only grow as workers
   * are taken, cached heuristic values are upper bounds; the master commits
-  * only a *fresh* maximum, so the parallel plan is identical to the serial
-  * plan for any thread count (the paper's determinism claim — tested).
+  * only a *fresh* maximum, so the plan equals the eager serial plan
+  * (`SerialMulti.basic`, tested).
   *
-  * `priority = true` refreshes stale candidates in descending heuristic
-  * order, `threads` at a time, and stops as soon as the maximum is provably
-  * fresh (the paper's dynamic thread priorities); `priority = false`
-  * refreshes every stale candidate before each commit, quantifying what the
-  * priority adjustment saves (Fig 9 (f)).
+  * `priority = true` refreshes only the stale maximum and stops as soon as
+  * the maximum is provably fresh (the paper's dynamic priorities);
+  * `priority = false` refreshes every stale candidate before each commit,
+  * quantifying what the priority adjustment saves (Fig 9 (f)).
+  *
+  * `threads` no longer changes the run: outcome and tables are those of one
+  * thread for every value. It is kept, with its check, only for callers that
+  * still pass a thread count.
   */
 object TaskParallel {
 
@@ -43,7 +47,7 @@ object TaskParallel {
   )
 
   def run(instances: Seq[TaskInstance], budget: Double, params: TcscParams,
-          threads: Int, priority: Boolean = true): (MultiOutcome, Tables) = {
+          threads: Int = 1, priority: Boolean = true): (MultiOutcome, Tables) = {
     require(threads >= 1, "threads >= 1")
     val insts = instances.toIndexedSeq
     val ledger = new Ledger(insts, budget)
@@ -51,28 +55,24 @@ object TaskParallel {
     val conflictTable = Vector.newBuilder[ConflictRecord]
     val logTable = Vector.newBuilder[LogRecord]
 
-    val exec = if (threads > 1) Executors.newFixedThreadPool(threads) else null
-    try {
-      val g = new LazyGreedy(insts, params.k, budget, ledger.cost,
-        width = if (priority) threads else LazyGreedy.All, exec,
-        (i, h) => heartbeat(i) = h)
-      var e = g.next()
-      while (e != null) {
-        val i = e.task
-        val j = e.slot
-        val rank = ledger.freeRank(i, j)
-        // Commit first: a bump dirties a candidate as of this commit.
-        g.commit(i, j, insts(i).slots(j).costs(rank))
-        val ex = ledger.book(i, j, rank, { (other, lost) =>
-          g.dirty(other, j) // cost bumped to the next-nearest worker
-          conflictTable += ConflictRecord(Set(i, other), j, lost + 2) // 1-based next rank
-        })
-        heartbeat(i) = e.h
-        logTable += LogRecord(ledger.commits, i, j, ex.workerId, e.h, g.spent)
-        e = g.next()
-      }
-      val out = ledger.outcome(g.tasks.map(_.result), g.evals)
-      (out, Tables(heartbeat.toVector, conflictTable.result(), logTable.result()))
-    } finally if (exec != null) exec.shutdown()
+    val g = new LazyGreedy(insts, params.k, budget, ledger.cost, refreshAll = !priority,
+      (i, h) => heartbeat(i) = h)
+    var e = g.next()
+    while (e != null) {
+      val i = e.task
+      val j = e.slot
+      val rank = ledger.freeRank(i, j)
+      // Commit first: a bump dirties a candidate as of this commit.
+      g.commit(i, j, insts(i).slots(j).costs(rank))
+      val ex = ledger.book(i, j, rank, { (other, lost) =>
+        g.dirty(other, j) // cost bumped to the next-nearest worker
+        conflictTable += ConflictRecord(Set(i, other), j, lost + 2) // 1-based next rank
+      })
+      heartbeat(i) = e.h
+      logTable += LogRecord(ledger.commits, i, j, ex.workerId, e.h, g.spent)
+      e = g.next()
+    }
+    val out = ledger.outcome(g.tasks.map(_.result), g.evals)
+    (out, Tables(heartbeat.toVector, conflictTable.result(), logTable.result()))
   }
 }

@@ -5,10 +5,9 @@ import repro.core.SlotCandidates
 /** Global (worker, slot) occupancy — a worker serves at most one subtask per
   * time slot, which is what creates cross-task conflicts (Section IV-A).
   *
-  * Each run owns one pool inside its `Ledger`, and only the thread that
-  * books touches it: the task-level framework's helper threads evaluate Δq
-  * and never book, and each conflict group of the group-level framework and
-  * the Spark job runs its own ledger.
+  * Each run owns one pool inside its `Ledger` and touches it from one
+  * thread; each conflict group of the group-level framework and the Spark
+  * job runs its own ledger.
   */
 final class WorkerPool {
   private val taken = new java.util.HashSet[Long]()

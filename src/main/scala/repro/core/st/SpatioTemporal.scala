@@ -28,6 +28,8 @@ final class StState(
   require(math.abs(ws + wt - 1.0) < 1e-9, "w_s + w_t must equal 1")
   val n: Int = tasks.length
   val m: Int = if (tasks.isEmpty) 0 else tasks.head.m
+  require(tasks.forall(_.m == m),
+    s"StState interpolates over one horizon; tasks have m in ${tasks.map(_.m).distinct.sorted.mkString(", ")}")
   private val Diam = math.sqrt(2.0) // |D|: diameter of the unit square
 
   private val byTask = Array.fill(n)(new ExecutedSet(m))

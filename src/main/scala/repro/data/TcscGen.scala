@@ -29,8 +29,6 @@ object TcscGen {
   case object Zipf     extends Dist { val name = "zipf"     }
   case object Poi      extends Dist { val name = "poi"      }
   val AllDists: Seq[Dist] = Seq(Uniform, Gaussian, Zipf, Poi)
-  def distByName(s: String): Dist =
-    AllDists.find(_.name == s).getOrElse(sys.error(s"unknown distribution $s"))
 
   private def clamp01(v: Double): Double = math.max(0.0, math.min(1.0, v))
 

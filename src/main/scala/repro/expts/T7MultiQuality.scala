@@ -27,7 +27,7 @@ object T7MultiQuality {
     def measure(dist: TcscGen.Dist, budgetFrac: Double, section: String, x: String): Seq[Row] = {
       val sc = TcscGen.scenario(nTasks, m, nWorkers, dist, seed)
       val b = TcscGen.budgetFor(sc.instances, budgetFrac)
-      val (sumOut, _) = TaskParallel.run(sc.instances, b, params, threads = 4)
+      val (sumOut, _) = TaskParallel.run(sc.instances, b, params)
       val minOut = SerialMulti.minQuality(sc.instances, b, params)
       val (rSum, rMin) = randMean(sc.instances, b)
       Seq(Row("q_sum", section, x, sumOut.qSum, rSum),

@@ -51,6 +51,25 @@ class MultiAssignSpec extends AnyFunSuite {
     }
   }
 
+  test("TaskParallel's outcome and tables do not depend on threads") {
+    val sc = scen(nT = 40, m = 80, nW = 800, seed = 17) // the T9 defaults
+    val b = TcscGen.budgetFor(sc.instances, 0.25)
+    def bits(hs: Vector[Double]) = hs.map(java.lang.Double.doubleToLongBits) // NaN-safe
+    for (priority <- Seq(true, false)) {
+      val (one, oneTables) = TaskParallel.run(sc.instances, b, params, 1, priority)
+      for (threads <- Seq(2, 4)) {
+        val (out, tables) = TaskParallel.run(sc.instances, b, params, threads, priority)
+        val at = s"threads=$threads priority=$priority"
+        assert(out.executions == one.executions, at)
+        assert(out.evals == one.evals, at)
+        assert(out.conflicts == one.conflicts, at)
+        assert(bits(tables.heartbeat) == bits(oneTables.heartbeat), at)
+        assert(tables.conflicts == oneTables.conflicts, at)
+        assert(tables.log == oneTables.log, at)
+      }
+    }
+  }
+
   test("task-level parallel determinism across skewed distributions") {
     for (dist <- Seq(TcscGen.Zipf, TcscGen.Poi)) {
       val sc = scen(nT = 10, nW = 120, dist = dist, seed = 77)

@@ -119,6 +119,20 @@ class SpatioTemporalSpec extends AnyFunSuite {
     assert(SpatioTemporal.scoreUnder(tasks(3, 10, 10), Nil, 3, 0.3, 0.7) == 0.0)
   }
 
+  test("tasks of two horizons are rejected in either order") {
+    def inst(id: Int, m: Int) = TaskInstance(Task(id, 0.1 * id, 0.5, m),
+      Array.tabulate(m)(j => SlotCandidates(Array(id * 100 + j), Array(1.0))))
+    for (ms <- Seq(Seq(20, 30), Seq(30, 20))) {
+      val insts = ms.zipWithIndex.map { case (m, i) => inst(i, m) }
+      val viaSApprox = intercept[IllegalArgumentException](
+        SpatioTemporal.sApprox(insts, 100.0, 3, 0.3, 0.7))
+      val viaScore = intercept[IllegalArgumentException](
+        SpatioTemporal.scoreUnder(insts.map(_.task).toIndexedSeq, Nil, 3, 0.3, 0.7))
+      for (e <- Seq(viaSApprox, viaScore))
+        assert(e.getMessage.contains("20, 30"), s"m = $ms: ${e.getMessage}")
+    }
+  }
+
   test("qualityOfTask sums to total quality") {
     val st = new StState(tasks(3, 10, 11), 2, 0.3, 0.7)
     st.insert(0, 2); st.insert(1, 5); st.insert(2, 8); st.insert(0, 7)
