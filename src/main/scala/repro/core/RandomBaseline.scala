@@ -48,13 +48,7 @@ object RandomBaseline {
       val (i, j) = picks.remove(rnd.nextInt(picks.length))
       if (ledger.affordable(i, j)) ledger.book(i, j)
     }
-    val byTask = ledger.executions.groupBy(_.taskId)
-    val per = insts.map { inst =>
-      val es = byTask.getOrElse(inst.task.id, Vector.empty)
-      val order = es.map(_.slot)
-      AssignmentResult(order, es.map(_.cost).sum, Quality.qualityOf(inst.m, order, params.k))
-    }
-    ledger.outcome(per, evals = 0L)
+    ledger.outcome(evals = 0L)((i, slots) => Quality.qualityOf(insts(i).m, slots, params.k))
   }
 
   /** Mean quality over `runs` seeds — the paper averages 20 runs. */

@@ -104,4 +104,17 @@ final class Ledger(insts: IndexedSeq[TaskInstance], budget: Double) {
   /** The run's outcome; `perTask` follows `insts`. */
   def outcome(perTask: Seq[AssignmentResult], evals: Long): MultiOutcome =
     MultiOutcome.of(perTask.toVector, executions, commitCount, evals, conflictCount)
+
+  /** The run's outcome with each task's result read off the executions: task
+    * `i`'s result holds its slots in commit order, the sum of their costs and
+    * `quality(i, slots)`.
+    */
+  def outcome(evals: Long)(quality: (Int, Vector[Int]) => Double): MultiOutcome = {
+    val byTask = executions.groupBy(_.taskId)
+    outcome(insts.indices.map { i =>
+      val es = byTask.getOrElse(insts(i).task.id, Vector.empty)
+      val slots = es.map(_.slot)
+      AssignmentResult(slots, es.map(_.cost).sum, quality(i, slots))
+    }, evals)
+  }
 }

@@ -1,23 +1,23 @@
 package repro.core.st
 
 import repro.core._
-import repro.core.multi.Ledger
+import repro.core.multi.{Ledger, MultiOutcome}
 import scala.collection.mutable.ArrayBuffer
 
-/** Spatiotemporal interpolation extension (paper Appendix C, Eq 13–15).
+/** The combined metric of the spatiotemporal interpolation extension (paper
+  * Appendix C, Eq 13–15) over one horizon m, kept incrementally as subtasks
+  * are executed.
   *
   * An unexecuted subtask τ_i(j) is interpolated both temporally (k-NN among
-  * executed slots of its own task, Eq 3) and spatially (k-NN among subtasks
-  * of *other* tasks executed at the same slot j, Eq 13, distances normalized
-  * by the domain diameter √2). The combined error is the weighted sum
-  * ρ = w_s·ρ_s + w_t·ρ_t (Eq 14, w_s + w_t = 1) and the finishing
-  * probability is p = (1 − ρ)/m (Eq 15). Missing neighbours count the
-  * maximal distance (m temporally, √2 spatially), consistent with
-  * footnote 2.
-  *
-  * `SApprox` runs the same greedy ratio rule over all tasks' subtasks under
-  * a global budget; the framework and the (1 − 1/√e) guarantee carry over
-  * because both interpolation parts stay monotone submodular (Appendix C).
+  * executed slots of its own task, Eq 3, read through
+  * `ExecutedSet.knnDistSum` as `Quality.finishProb` reads it) and spatially
+  * (k-NN among subtasks of *other* tasks executed at the same slot j, Eq 13,
+  * distances normalized by the domain diameter √2). The combined error is the
+  * weighted sum ρ = w_s·ρ_s + w_t·ρ_t (Eq 14, w_s + w_t = 1) and the
+  * finishing probability is p = (1 − ρ)/m (Eq 15). Missing neighbours count
+  * the maximal distance (m temporally, √2 spatially), consistent with
+  * footnote 2. An executed (task, slot) counts once: inserting it again
+  * changes nothing.
   */
 final class StState(
     val tasks: IndexedSeq[Task],
@@ -67,11 +67,9 @@ final class StState(
     sum / (k * Diam)
   }
 
-  /** Temporal error ratio of τ_i(j) (Eq 3). */
-  def rhoTemporal(i: Int, j: Int, extraSlot: Int = -1): Double = {
-    val nn = byTask(i).knn(j, k, extraSlot)
-    Quality.errRatio(j, nn, k, m)
-  }
+  /** Temporal error ratio of τ_i(j) (Eq 3), bit for bit `Quality.errRatio` over `knn`. */
+  def rhoTemporal(i: Int, j: Int, extraSlot: Int = -1): Double =
+    byTask(i).knnDistSum(j, k, extraSlot).toDouble / (k.toDouble * m)
 
   /** Combined finishing probability (Eq 14–15). */
   def prob(i: Int, j: Int, extraTaskAtJ: Int = -1, extraSlotOfI: Int = -1): Double = {
@@ -108,8 +106,8 @@ final class StState(
     dq
   }
 
-  /** Commit execution of τ_i(j). */
-  def insert(i: Int, j: Int): Unit = {
+  /** Commit execution of τ_i(j); a no-op when it is executed already. */
+  def insert(i: Int, j: Int): Unit = if (!isExecuted(i, j)) {
     byTask(i).add(j)
     bySlot(j) += i
     var s = 0
@@ -142,37 +140,29 @@ final class StState(
   }
 }
 
+/** SApprox (Appendix C): the greedy ratio rule under the combined metric and
+  * one global budget; the (1 − 1/√e) guarantee carries over, as both parts
+  * stay monotone submodular. T11's Approx is SApprox at w_s = 0, w_t = 1.
+  */
 object SpatioTemporal {
 
-  /** SApprox: greedy ratio rule under the combined metric, global budget. */
+  /** SApprox's plan, booked through a `Ledger`, and its final state; `evals`
+    * counts Δq calls and task i's quality is `st.qualityOfTask(i)`.
+    */
   def sApprox(instances: Seq[TaskInstance], budget: Double, k: Int,
-              ws: Double, wt: Double): (MultiResult, StState) = {
+              ws: Double, wt: Double): (MultiOutcome, StState) = {
     val insts = instances.toIndexedSeq
     val st = new StState(insts.map(_.task), k, ws, wt)
-    greedy(insts, st, budget)
-  }
-
-  /** Approx under the ST evaluation: optimizes temporal-only (w_t = 1) but
-    * is *scored* on a caller-chosen metric — see bench T11.
-    */
-  def temporalOnly(instances: Seq[TaskInstance], budget: Double, k: Int): (MultiResult, StState) = {
-    val insts = instances.toIndexedSeq
-    val st = new StState(insts.map(_.task), k, 0.0, 1.0)
-    greedy(insts, st, budget)
-  }
-
-  final case class MultiResult(executions: Vector[Execution], totalCost: Double)
-
-  private def greedy(insts: IndexedSeq[TaskInstance], st: StState,
-                     budget: Double): (MultiResult, StState) = {
     val ledger = new Ledger(insts, budget)
-    var e = ledger.best(0, insts.length, st.deltaQ)
+    var evals = 0L
+    val gain = (i: Int, j: Int) => { evals += 1; st.deltaQ(i, j) }
+    var e = ledger.best(0, insts.length, gain)
     while (e != null) {
       ledger.book(e.task, e.slot)
       st.insert(e.task, e.slot)
-      e = ledger.best(0, insts.length, st.deltaQ)
+      e = ledger.best(0, insts.length, gain)
     }
-    (MultiResult(ledger.executions, ledger.spent), st)
+    (ledger.outcome(evals)((i, _) => st.qualityOfTask(i)), st)
   }
 
   /** Score an arbitrary assignment under a (ws, wt) metric — used to compare

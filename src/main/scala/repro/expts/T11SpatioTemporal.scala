@@ -9,8 +9,9 @@ import Harness.Cell
 /** T11 ≡ Fig 11 — the spatiotemporal interpolation extension.
   *
   * (a) quality by task distribution and (b) by budget, for SApprox (combined
-  * interpolation, w_s = 0.3 / w_t = 0.7), Approx (temporal-only) and Rand —
-  * all plans *scored* under the combined metric so they are comparable;
+  * interpolation, w_s = 0.3 / w_t = 0.7), Approx (temporal-only: SApprox at
+  * w_s = 0 / w_t = 1) and Rand — all plans *scored* under the combined
+  * metric so they are comparable;
   * (c) quality of SApprox across w_t; (opt) an exact-OPT comparison on a
   * tiny instance (|T| = 2, m = 6), since OPT enumerates the joint solution
   * space.
@@ -60,7 +61,7 @@ object T11SpatioTemporal {
       val b = TcscGen.budgetFor(insts, frac)
       val tasks = insts.map(_.task).toIndexedSeq
       val (sRes, _) = SpatioTemporal.sApprox(insts, b, k, DefaultWs, DefaultWt)
-      val (tRes, _) = SpatioTemporal.temporalOnly(insts, b, k)
+      val (tRes, _) = SpatioTemporal.sApprox(insts, b, k, 0.0, 1.0)
       val rQ = (0 until 5).map { s =>
         SpatioTemporal.scoreUnder(tasks, RandomBaseline.multi(insts, b, params, seed + 100 + s).executions,
           k, DefaultWs, DefaultWt)
@@ -94,7 +95,7 @@ object T11SpatioTemporal {
       val b = TcscGen.budgetFor(insts, 0.25)
       val tasks = insts.map(_.task)
       val (sRes, _) = SpatioTemporal.sApprox(insts, b, k, DefaultWs, DefaultWt)
-      val (tRes, _) = SpatioTemporal.temporalOnly(insts, b, k)
+      val (tRes, _) = SpatioTemporal.sApprox(insts, b, k, 0.0, 1.0)
       cells += Cell("Fig11opt:tiny", "T=2,m=6", "OPT", optSt(insts, b, k, DefaultWs, DefaultWt))
       cells += Cell("Fig11opt:tiny", "T=2,m=6", "SApprox",
         SpatioTemporal.scoreUnder(tasks, sRes.executions, k, DefaultWs, DefaultWt))

@@ -10,11 +10,12 @@ import repro.data.TcscGen
 
 /** The multi-task assignment as a partitioned Spark job (DESIGN.md §3).
   *
-  * The conflict groups are built before the job from the candidate lists
-  * the scenario already holds (`ConflictGraph`, the same groups as
-  * `GroupParallel`), and each group runs the task-level lazy greedy at one
-  * thread on its own partition via `groupByKey(group).flatMapGroups` —
-  * Spark partitions play the paper's computation cores. Instances travel to
+  * The driver builds the conflict groups from the candidate lists the
+  * scenario already holds (`ConflictGraph`, the same groups as
+  * `GroupParallel`) and parallelizes them one group per partition; each
+  * partition plans its group with `GroupParallel.planGroup`, the task-level
+  * lazy greedy at one thread, so Spark partitions play the paper's
+  * computation cores. One job of one stage, no shuffle. Instances travel to
   * executors via a broadcast of the deterministic scenario. `planQualities`
   * scores a plan with the core's quality metric in one shuffle-free stage:
   * a per-partition bitmap fold merged and scored on the driver.
@@ -23,7 +24,6 @@ object AssignPipeline {
 
   final case class TaskRow(task_id: Int, x: Double, y: Double, m: Int)
   final case class WorkerRow(worker_id: Int, slot: Int, x: Double, y: Double)
-  final case class GroupedTask(group_id: Int, task_index: Int)
 
   def tasksDf(spark: SparkSession, sc: TcscGen.Scenario): DataFrame = {
     import spark.implicits._
@@ -72,23 +72,19 @@ object AssignPipeline {
     ConflictGraph.components(nTasks, edges)
 
   /** End-to-end: scenario → conflict groups → per-partition greedy →
-    * executions DataFrame. Each group is planned by
-    * `GroupParallel.planGroup`, as in `GroupParallel`.
+    * executions Dataset. Group g is partition g and is planned by
+    * `GroupParallel.planGroup`, as in `GroupParallel`, so the collected
+    * executions equal `GroupParallel.run`'s in order.
     */
   def assign(spark: SparkSession, sc: TcscGen.Scenario, budgetFraction: Double,
              params: TcscParams): Dataset[Execution] = {
     import spark.implicits._
-    val groupOf = ConflictGraph.build(sc.instances).groupOf
+    val groups = ConflictGraph.build(sc.instances).groups
     val totalBudget = TcscGen.budgetFor(sc.instances, budgetFraction)
     val bInsts = spark.sparkContext.broadcast(sc.instances)
-    val bParams = spark.sparkContext.broadcast(params)
-
-    sc.instances.indices.map(i => GroupedTask(groupOf(i), i)).toDS()
-      .groupByKey(_.group_id)
-      .flatMapGroups { (_, rows) =>
-        val members = rows.map(_.task_index).toVector.sorted
-        GroupParallel.planGroup(bInsts.value, members, totalBudget, bParams.value).executions.iterator
-      }
+    spark.sparkContext.parallelize(groups, math.max(1, groups.size))
+      .flatMap(members => GroupParallel.planGroup(bInsts.value, members, totalBudget, params).executions)
+      .toDS()
   }
 
   /** Quality of an executions plan, computed in Spark with the core's own

@@ -9,7 +9,7 @@ import repro.data.TcscGen
 /** Every assignment path on every degenerate input. Each run must not throw
   * and its plan must pass `PlanCheck`: no (worker, slot) booked twice, only
   * listed candidates at their listed costs, spend within budget, reported
-  * qualities equal to a from-scratch recomputation. SApprox reports one
+  * qualities equal to a from-scratch recomputation. SApprox reports the
   * combined quality, which must equal `SpatioTemporal.scoreUnder`.
   */
 class DegenerateInputSpec extends AnyFunSuite {
@@ -57,14 +57,10 @@ class DegenerateInputSpec extends AnyFunSuite {
     "MMQM naive" -> multiTask(SerialMulti.minQuality(_, _, params, indexed = false)),
     "Rand multi" -> multiTask(RandomBaseline.multi(_, _, params, seed = 5)),
     "SApprox" -> ((insts, b) => {
-      val (res, st) = SpatioTemporal.sApprox(insts, b, params.k, 0.3, 0.7)
-      assert(math.abs(st.quality -
-        SpatioTemporal.scoreUnder(insts.map(_.task), res.executions, params.k, 0.3, 0.7)) < 1e-9)
-      // Its per-task base qualities are not reported; recompute them so that
-      // PlanCheck checks the bookings, candidates and spend.
-      val base = insts.map(i => i.task.id ->
-        Quality.qualityOf(i.m, res.executions.filter(_.taskId == i.task.id).map(_.slot), params.k)).toMap
-      Seq(Run(insts, PlanCheck.Plan(res.executions, base, b), res.totalCost))
+      val (out, st) = SpatioTemporal.sApprox(insts, b, params.k, 0.3, 0.7)
+      val scored = SpatioTemporal.scoreUnder(insts.map(_.task), out.executions, params.k, 0.3, 0.7)
+      assert(math.abs(st.quality - scored) < 1e-9 && math.abs(out.qSum - scored) < 1e-9)
+      Seq(Run(insts, DegenerateInputSpec.basePlan(insts, out, b, params.k), out.totalCost))
     }),
   )
 
@@ -131,4 +127,15 @@ object DegenerateInputSpec {
     */
   final case class Run(instances: Seq[TaskInstance], plan: PlanCheck.Plan, spent: Double,
                        rankZero: Boolean = false)
+
+  /** SApprox's outcome as a plan whose reported qualities are each task's
+    * base quality (Eq 1) of the slots `out.perTask` lists. SApprox reports
+    * each task's share of the combined metric instead, which `PlanCheck`
+    * does not recompute; this way it still checks the bookings, candidates
+    * and spend, and that each task's slots are its executions.
+    */
+  def basePlan(instances: Seq[TaskInstance], out: MultiOutcome, budget: Double, k: Int): PlanCheck.Plan =
+    PlanCheck.Plan(out.executions, instances.iterator.zip(out.perTask).map { case (i, r) =>
+      i.task.id -> Quality.qualityOf(i.m, r.executedSlots, k)
+    }.toMap, budget)
 }

@@ -187,17 +187,8 @@ class MultiAssignSpec extends AnyFunSuite {
     assert(g.groups >= 1 && g.largestGroup <= 16)
   }
 
-  /** `sc`'s instances with each worker id split into `blocks` disjoint ids,
-    * one per task class i mod `blocks`, so tasks of different classes never
-    * share a (worker, slot).
-    */
-  private def blocked(sc: TcscGen.Scenario, blocks: Int): Vector[TaskInstance] =
-    sc.instances.zipWithIndex.map { case (inst, i) =>
-      inst.copy(slots = inst.slots.map(s => s.copy(workers = s.workers.map(_ * blocks + i % blocks))))
-    }
-
   test("group-level parallel matches per-group serial runs") {
-    val insts = blocked(scen(nT = 12, seed = 91), blocks = 3)
+    val insts = MultiAssignSpec.blocked(scen(nT = 12, seed = 91), blocks = 3).instances
     val b = TcscGen.budgetFor(insts, 0.25)
     val graph = ConflictGraph.build(insts)
     assert(graph.groups == Vector.tabulate(3)(c => (c until 12 by 3).toVector))
@@ -301,4 +292,15 @@ class MultiAssignSpec extends AnyFunSuite {
     assert(out.executions == Vector(e0, Execution(1, 0, 11, 2.0)))
     assert(out.commits == 2 && out.conflicts == 2, "booking 11 also bumped task 2")
   }
+}
+
+object MultiAssignSpec {
+  /** `sc` with each worker id split into `blocks` disjoint ids, one per task
+    * class i mod `blocks`, so tasks of different classes never share a
+    * (worker, slot).
+    */
+  def blocked(sc: TcscGen.Scenario, blocks: Int): TcscGen.Scenario =
+    sc.copy(instances = sc.instances.zipWithIndex.map { case (inst, i) =>
+      inst.copy(slots = inst.slots.map(s => s.copy(workers = s.workers.map(_ * blocks + i % blocks))))
+    })
 }

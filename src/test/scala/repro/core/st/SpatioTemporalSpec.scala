@@ -109,7 +109,7 @@ class SpatioTemporalSpec extends AnyFunSuite {
     val b = TcscGen.budgetFor(sc.instances, 0.25)
     val tasksIdx = sc.instances.map(_.task).toIndexedSeq
     val (sRes, _) = SpatioTemporal.sApprox(sc.instances, b, 3, 0.3, 0.7)
-    val (tRes, _) = SpatioTemporal.temporalOnly(sc.instances, b, 3)
+    val (tRes, _) = SpatioTemporal.sApprox(sc.instances, b, 3, 0.0, 1.0)
     val sQ = SpatioTemporal.scoreUnder(tasksIdx, sRes.executions, 3, 0.3, 0.7)
     val tQ = SpatioTemporal.scoreUnder(tasksIdx, tRes.executions, 3, 0.3, 0.7)
     assert(sQ >= tQ - 1e-9, s"SApprox $sQ < Approx $tQ")
@@ -130,6 +130,50 @@ class SpatioTemporalSpec extends AnyFunSuite {
         SpatioTemporal.scoreUnder(insts.map(_.task).toIndexedSeq, Nil, 3, 0.3, 0.7))
       for (e <- Seq(viaSApprox, viaScore))
         assert(e.getMessage.contains("20, 30"), s"m = $ms: ${e.getMessage}")
+    }
+  }
+
+  test("a repeated insert changes nothing") {
+    // Listing task 0 at slot 4 twice would make task 1's spatial k-NN at
+    // slot 4 count that neighbour twice.
+    val ts = IndexedSeq(Task(0, 0.2, 0.2, 10), Task(1, 0.25, 0.2, 10), Task(2, 0.8, 0.8, 10))
+    val once = SpatioTemporal.scoreUnder(ts, Seq(Execution(0, 4, 7, 1.0)), 3, 0.3, 0.7)
+    val twice = SpatioTemporal.scoreUnder(ts, Seq.fill(2)(Execution(0, 4, 7, 1.0)), 3, 0.3, 0.7)
+    assert(twice == once)
+    val st = new StState(ts, 3, 0.3, 0.7)
+    st.insert(0, 4)
+    val p = (0 until 3).map(st.prob(_, 4))
+    st.insert(0, 4)
+    assert((0 until 3).map(st.prob(_, 4)) == p)
+    assert(st.quality == once && math.abs(st.quality - st.recomputeFromScratch()) < 1e-9)
+  }
+
+  test("rhoTemporal equals Eq 3 over the k-NN list, bit for bit") {
+    val rnd = new Random(12)
+    for (_ <- 0 until 20) {
+      val m = 1 + rnd.nextInt(20)
+      val k = 1 + rnd.nextInt(5)
+      val st = new StState(tasks(1, m, rnd.nextLong()), k, 0.0, 1.0)
+      val es = new ExecutedSet(m)
+      for (j <- rnd.shuffle((0 until m).toList).take(rnd.nextInt(m + 1))) { st.insert(0, j); es.add(j) }
+      for (j <- 0 until m; extra <- -1 until m)
+        assert(st.rhoTemporal(0, j, extra) == Quality.errRatio(j, es.knn(j, k, extra), k, m),
+          s"m=$m k=$k j=$j extra=$extra")
+    }
+  }
+
+  test("SApprox reports its commits, Δq calls and per-task results in commit order") {
+    val sc = TcscGen.scenario(6, 20, 150, TcscGen.Uniform, 8)
+    val insts = sc.instances
+    val b = TcscGen.budgetFor(insts, 0.25)
+    val (out, st) = SpatioTemporal.sApprox(insts, b, 3, 0.3, 0.7)
+    assert(out.commits == out.executions.size && out.executions.nonEmpty)
+    // every step scans each unbooked affordable subtask once; the last scan finds none
+    assert(out.evals > out.commits)
+    assert(out.perTask.map(_.quality) == insts.indices.map(st.qualityOfTask))
+    insts.zip(out.perTask).foreach { case (inst, r) =>
+      val es = out.executions.filter(_.taskId == inst.task.id)
+      assert(r.executedSlots == es.map(_.slot) && r.totalCost == es.map(_.cost).sum)
     }
   }
 

@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.sql.DataFrame
 import repro.{PlanCheck, SparkSpec}
 import repro.core.{Execution, Quality, Task, TcscParams}
-import repro.core.multi.{GroupParallel, TaskParallel}
+import repro.core.multi.{ConflictGraph, GroupParallel, MultiAssignSpec, TaskParallel}
 import repro.data.TcscGen
 
 /** End-to-end Spark assignment pipeline vs the driver-side engine. */
@@ -49,6 +49,22 @@ class AssignPipelineSpec extends SparkSpec {
     val expected = GroupParallel.run(sc.instances, budget, params, threads = 2).outcome.executions
       .sortBy(e => (e.taskId, e.slot))
     assert(sparkExecs == expected)
+  }
+
+  test("the assignment job is one stage of one task per conflict group, with no shuffle") {
+    val threeGroups = MultiAssignSpec.blocked(TcscGen.scenario(12, 30, 250, TcscGen.Uniform, 91), blocks = 3)
+    val scenarios = Seq(("spec scenario", sc, 1), ("three groups", threeGroups, 3))
+    for ((name, scen, groups) <- scenarios) withClue(s"$name: ") {
+      assert(ConflictGraph.build(scen.instances).groups.size == groups)
+      val (execs, shape) = jobShape(AssignPipeline.assign(spark, scen, 0.25, params).collect().toVector)
+      assert(shape.jobs == 1, "jobs")
+      assert(shape.stages == 1, "stages")
+      assert(shape.tasks == groups, "one task per group")
+      assert(shape.shuffleWriteBytes == 0L, "shuffle-write bytes")
+      val budget = TcscGen.budgetFor(scen.instances, 0.25)
+      assert(execs.nonEmpty)
+      assert(execs == GroupParallel.run(scen.instances, budget, params, threads = 2).outcome.executions)
+    }
   }
 
   test("pipeline qualities match the core metric per task") {
