@@ -41,6 +41,7 @@ object GreedyIndexed {
     val cost = Array.tabulate(inst.m)(inst.cost)
     val g = new LazyGreedy(Vector(inst), params.k, budget, (_, j) => cost(j), refreshAll = false)
     val task = g.tasks.head
+    val order = Vector.newBuilder[Int]
 
     var iterations = 0
     var heuristicNanos = 0L
@@ -56,13 +57,15 @@ object GreedyIndexed {
         t0 = System.nanoTime()
         g.commit(0, e.slot, cost(e.slot))
         updateNanos += System.nanoTime() - t0
+        order += e.slot
         iterations += 1
       }
     }
 
     val stats = GreedyStats(iterations, g.evals, task.st.slotsVisited,
       heuristicNanos, updateNanos, treeNanos = 0L)
-    IndexedOutcome(Singletons.orBest(task.result, task.singles, cost, budget),
+    val greedy = AssignmentResult(order.result(), g.spent, task.st.quality)
+    IndexedOutcome(Singletons.orBest(greedy, task.singles, cost, budget),
       stats, treeNodeCount = 0)
   }
 }

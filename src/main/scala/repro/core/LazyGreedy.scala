@@ -2,19 +2,17 @@ package repro.core
 
 import scala.collection.mutable
 
-/** One task's state in a greedy run: its incremental quality, its singleton
-  * qualities and the plan so far. `ent` is `QualityState.entropyTable` of the
+/** One task's state in a greedy run: its incremental quality and its
+  * singleton qualities. The plan itself is the caller's record (a `Ledger`,
+  * or Approx*'s commit order). `ent` is `QualityState.entropyTable` of the
   * task's (m, k); the tasks of a run share it (`TaskCtx.all`).
   */
 final class TaskCtx(val inst: TaskInstance, k: Int, ent: Array[Double]) {
   val st = new QualityState(inst.m, k, ent)
   val singles: Array[Double] = Singletons.qualities(inst.m, k)
-  val order = Vector.newBuilder[Int]
-  var spent = 0.0
   /** Δq of slot `j`; the O(1) singleton quality while nothing is executed. */
   def deltaQ(j: Int): Double =
     if (st.executedCount == 0) singles(j) else st.deltaQ(j)
-  def result: AssignmentResult = AssignmentResult(order.result(), spent, st.quality)
 }
 
 object TaskCtx {
@@ -116,12 +114,9 @@ final class LazyGreedy(
     */
   def commit(task: Int, slot: Int, c: Double): Unit = {
     version += 1
-    val ctx = tasks(task)
-    val st = ctx.st
+    val st = tasks(task).st
     st.insert(slot)
     java.util.Arrays.fill(dirtyVer, off(task) + st.dirtyLo, off(task) + st.dirtyHi + 1, version)
-    ctx.order += slot
-    ctx.spent += c
     spent += c
   }
 

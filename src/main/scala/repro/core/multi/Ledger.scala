@@ -8,14 +8,18 @@ import repro.core.{AssignmentResult, Execution, LazyGreedy, TaskInstance}
   * (Fig 4, the Conflicting Table of IV-A-2).
   *
   * Owns the run's `WorkerPool`, the spend, the commit and conflict counts and
-  * the executions in commit order. Task `i` is `insts(i)`. Every multi-task
-  * path books through one ledger: the lazy greedy (task-level, and per group
-  * for group-level and Spark), the eager baselines (basic, MMQM, SApprox),
-  * Rand and T11's exact OPT. A ledger is not thread-safe: each run uses its
-  * own from one thread, and the group-level framework and the Spark job give
-  * every conflict group its own run.
+  * the executions in commit order. Task `i` is `insts(i)`, and no two
+  * instances may share a task id: `outcome` reads each task's result off
+  * the executions by id. Every multi-task path books through one ledger:
+  * the lazy greedy (task-level, and per group for group-level and Spark),
+  * the eager baselines (basic, MMQM, SApprox), Rand and T11's exact OPT. A
+  * ledger is not thread-safe: each run uses its own from one thread, and
+  * the group-level framework and the Spark job give every conflict group
+  * its own run.
   */
 final class Ledger(insts: IndexedSeq[TaskInstance], budget: Double) {
+  require(insts.map(_.task.id).distinct.size == insts.size,
+    "a ledger books each task once; two instances share a task id")
   private val pool = new WorkerPool
   private val booked = insts.map(inst => new Array[Boolean](inst.m))
   private val execs = Vector.newBuilder[Execution]
@@ -101,20 +105,18 @@ final class Ledger(insts: IndexedSeq[TaskInstance], budget: Double) {
   /** The executions in commit order; read once the run is over. */
   def executions: Vector[Execution] = execs.result()
 
-  /** The run's outcome; `perTask` follows `insts`. */
-  def outcome(perTask: Seq[AssignmentResult], evals: Long): MultiOutcome =
-    MultiOutcome.of(perTask.toVector, executions, commitCount, evals, conflictCount)
-
-  /** The run's outcome with each task's result read off the executions: task
-    * `i`'s result holds its slots in commit order, the sum of their costs and
-    * `quality(i, slots)`.
+  /** The run's outcome, `perTask` following `insts`, with each task's result
+    * read off the executions: task `i`'s result holds its slots in commit
+    * order, the sum of their costs and `quality(i, slots)`.
     */
   def outcome(evals: Long)(quality: (Int, Vector[Int]) => Double): MultiOutcome = {
-    val byTask = executions.groupBy(_.taskId)
-    outcome(insts.indices.map { i =>
+    val all = executions
+    val byTask = all.groupBy(_.taskId)
+    val perTask = insts.indices.map { i =>
       val es = byTask.getOrElse(insts(i).task.id, Vector.empty)
       val slots = es.map(_.slot)
       AssignmentResult(slots, es.map(_.cost).sum, quality(i, slots))
-    }, evals)
+    }
+    MultiOutcome.of(perTask.toVector, all, commitCount, evals, conflictCount)
   }
 }

@@ -55,16 +55,13 @@ object SerialMulti {
     def step(from: Int, until: Int, gain: (Int, Int) => Double): Boolean = {
       val e = ledger.best(from, until, gain)
       if (e != null) {
-        val ctx = ctxs(e.task)
-        val ex = ledger.book(e.task, e.slot)
-        ctx.st.insert(e.slot)
-        ctx.order += e.slot
-        ctx.spent += ex.cost
+        ledger.book(e.task, e.slot)
+        ctxs(e.task).st.insert(e.slot)
       }
       e != null
     }
 
-    def result: MultiOutcome = ledger.outcome(ctxs.map(_.result), evals)
+    def result: MultiOutcome = ledger.outcome(evals)((i, _) => ctxs(i).st.quality)
   }
 
   /** MSQM, basic serial greedy (no index reuse across iterations, no

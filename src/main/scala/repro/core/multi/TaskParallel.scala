@@ -72,7 +72,7 @@ object TaskParallel {
       logTable += LogRecord(ledger.commits, i, j, ex.workerId, e.h, g.spent)
       e = g.next()
     }
-    val out = ledger.outcome(g.tasks.map(_.result), g.evals)
+    val out = ledger.outcome(g.evals)((i, _) => g.tasks(i).st.quality)
     (out, Tables(heartbeat.toVector, conflictTable.result(), logTable.result()))
   }
 }

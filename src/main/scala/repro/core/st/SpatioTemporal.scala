@@ -48,24 +48,40 @@ final class StState(
     math.sqrt(dx * dx + dy * dy)
   }
 
+  private val nearest = new Array[Double](k) // rhoSpatial's k smallest, ascending
+
   /** Spatial error ratio of τ_i(j) (Eq 13); `extraTask` is an optional
-    * tentatively-executing task at the same slot.
+    * tentatively-executing task at the same slot. The k smallest distances
+    * are summed in ascending order.
     */
   def rhoSpatial(i: Int, j: Int, extraTask: Int = -1): Double = {
-    val ds = new ArrayBuffer[Double](k + 1)
     val others = bySlot(j)
+    var count = 0
     var t = 0
     while (t < others.length) {
-      if (others(t) != i) ds += spatialDist(i, others(t))
+      if (others(t) != i) count = keepNearest(count, spatialDist(i, others(t)))
       t += 1
     }
-    if (extraTask >= 0 && extraTask != i && !others.contains(extraTask))
-      ds += spatialDist(i, extraTask)
-    val sorted = ds.sorted.take(k)
-    var sum = sorted.sum
-    sum += (k - sorted.length) * Diam // phantom neighbours at the diameter
+    if (extraTask >= 0 && extraTask != i && !isExecuted(extraTask, j))
+      count = keepNearest(count, spatialDist(i, extraTask))
+    var sum = 0.0
+    var p = 0
+    while (p < count) { sum += nearest(p); p += 1 }
+    sum += (k - count) * Diam // phantom neighbours at the diameter
     sum / (k * Diam)
   }
+
+  /** Offers `d` to `nearest`, whose first `count` entries are the smallest
+    * distances so far in ascending order; returns the new count (at most k).
+    */
+  private def keepNearest(count: Int, d: Double): Int =
+    if (count == k && d >= nearest(k - 1)) count
+    else {
+      var p = math.min(count, k - 1)
+      while (p > 0 && nearest(p - 1) > d) { nearest(p) = nearest(p - 1); p -= 1 }
+      nearest(p) = d
+      math.min(count + 1, k)
+    }
 
   /** Temporal error ratio of τ_i(j) (Eq 3), bit for bit `Quality.errRatio` over `knn`. */
   def rhoTemporal(i: Int, j: Int, extraSlot: Int = -1): Double =
@@ -83,51 +99,41 @@ final class StState(
   /** Marginal gain of executing τ_i(j): own slot + temporal window of task i
     * + spatial effect on every other task at slot j.
     */
-  def deltaQ(i: Int, j: Int): Double = {
-    var dq = Quality.contribution(1.0 / m) - contrib(i)(j)
-    // temporal effects within task i (full scan: m is small in ST benches,
-    // and correctness over cleverness here — the windowed engine covers the
-    // pure-temporal case)
+  def deltaQ(i: Int, j: Int): Double = pass(i, j, commit = false)
+
+  /** Commit execution of τ_i(j); a no-op when it is executed already. */
+  def insert(i: Int, j: Int): Unit = if (!isExecuted(i, j)) pass(i, j, commit = true)
+
+  /** Δq and, with `commit`, the insert, in one pass that reads τ_i(j) as the
+    * extra execution of the unchanged state (task i's slots in a full scan:
+    * m is small in ST benches). The total adds task i's other slots, then
+    * its own, then the other tasks at j; that order fixes `quality`'s bits
+    * (`PlanDigestSpec` pins them).
+    */
+  private def pass(i: Int, j: Int, commit: Boolean): Double = {
+    val cSelf = Quality.contribution(1.0 / m)
+    var dq = cSelf - contrib(i)(j)
     var s = 0
     while (s < m) {
       if (s != j && !isExecuted(i, s)) {
-        dq += Quality.contribution(prob(i, s, extraSlotOfI = j)) - contrib(i)(s)
+        val c = Quality.contribution(prob(i, s, extraSlotOfI = j))
+        dq += c - contrib(i)(s)
+        if (commit) { totalQ += c - contrib(i)(s); contrib(i)(s) = c }
       }
       s += 1
     }
-    // spatial effects on other tasks at slot j
+    if (commit) { totalQ += cSelf - contrib(i)(j); contrib(i)(j) = cSelf }
     var t = 0
     while (t < n) {
       if (t != i && !isExecuted(t, j)) {
-        dq += Quality.contribution(prob(t, j, extraTaskAtJ = i)) - contrib(t)(j)
+        val c = Quality.contribution(prob(t, j, extraTaskAtJ = i))
+        dq += c - contrib(t)(j)
+        if (commit) { totalQ += c - contrib(t)(j); contrib(t)(j) = c }
       }
       t += 1
     }
+    if (commit) { byTask(i).add(j); bySlot(j) += i }
     dq
-  }
-
-  /** Commit execution of τ_i(j); a no-op when it is executed already. */
-  def insert(i: Int, j: Int): Unit = if (!isExecuted(i, j)) {
-    byTask(i).add(j)
-    bySlot(j) += i
-    var s = 0
-    while (s < m) {
-      if (!isExecuted(i, s)) {
-        val c = Quality.contribution(prob(i, s))
-        totalQ += c - contrib(i)(s); contrib(i)(s) = c
-      }
-      s += 1
-    }
-    val cSelf = Quality.contribution(1.0 / m)
-    totalQ += cSelf - contrib(i)(j); contrib(i)(j) = cSelf
-    var t = 0
-    while (t < n) {
-      if (t != i && !isExecuted(t, j)) {
-        val c = Quality.contribution(prob(t, j))
-        totalQ += c - contrib(t)(j); contrib(t)(j) = c
-      }
-      t += 1
-    }
   }
 
   /** Full recomputation — test oracle. */

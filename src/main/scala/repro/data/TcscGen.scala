@@ -33,10 +33,10 @@ object TcscGen {
   private def clamp01(v: Double): Double = math.max(0.0, math.min(1.0, v))
 
   /** Worker presences over a horizon of `m` slots: each worker starts at a
-    * uniform position, takes `pieces` active windows of 1–5 slots at random
+    * uniform position, takes 3 active windows of 1–5 slots at random
     * offsets, and random-walks (step σ = 0.02) while active.
     */
-  def workers(n: Int, m: Int, seed: Long, pieces: Int = 3): Vector[WorkerAt] = {
+  def workers(n: Int, m: Int, seed: Long): Vector[WorkerAt] = {
     val rnd = new Random(seed)
     val out = new ArrayBuffer[WorkerAt]
     var w = 0
@@ -44,7 +44,7 @@ object TcscGen {
       var x = rnd.nextDouble(); var y = rnd.nextDouble()
       val used = scala.collection.mutable.BitSet.empty
       var p = 0
-      while (p < pieces) {
+      while (p < 3) {
         val len = 1 + rnd.nextInt(5)               // 1–5 slots, as in the paper
         val start = rnd.nextInt(math.max(1, m - len + 1))
         var s = start

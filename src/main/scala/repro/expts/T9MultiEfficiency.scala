@@ -1,15 +1,15 @@
 package repro.expts
 
 import repro.core._
-import repro.core.multi.{GroupParallel, SerialMulti, TaskParallel}
+import repro.core.multi.{ConflictGraph, GroupParallel, SerialMulti, TaskParallel}
 import repro.data.TcscGen
 import Harness.Cell
 
 /** T9 ≡ Fig 9 — efficiency and scalability of multi-task assignment.
   *
-  *  (a) time vs #cores × {basic, group-parallel}, and task-parallel once:
-  *      its master refreshes inline, so it takes no thread count
-  *  (b) time vs distribution × {group, task}
+  *  (a) time vs #cores × basic, and group- and task-parallel once each:
+  *      both plan on the calling thread, so they take no thread count
+  *  (b) time vs distribution × {group, task}, and the conflict groups
   *  (c) #worker conflicts vs |T|
   *  (d) time vs |T| × {basic, task}
   *  (e) time vs m × {group, task}
@@ -38,14 +38,13 @@ object T9MultiEfficiency {
       val sc = scen()
       val b = TcscGen.budgetFor(sc.instances, defFrac)
       val (_, basicMs) = Harness.medianMs(SerialMulti.basic(sc.instances, b, params))
-      // The task-level master refreshes inline, so its time has one x.
+      // Group- and task-level plan on the calling thread, so each has one x.
+      val (_, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, b, params))
       val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params))
+      cells += Cell("Fig9a:time_vs_cores", "1", "group", gMs)
       cells += Cell("Fig9a:time_vs_cores", "1", "task", tMs)
-      for (cores <- Seq(1, 2, 4, 8)) {
+      for (cores <- Seq(1, 2, 4, 8))
         cells += Cell("Fig9a:time_vs_cores", cores.toString, "basic", basicMs)
-        val (_, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, b, params, cores))
-        cells += Cell("Fig9a:time_vs_cores", cores.toString, "group", gMs)
-      }
     }
 
     // (a2) scarce-worker regime: heavy conflicts merge tasks into large
@@ -55,22 +54,24 @@ object T9MultiEfficiency {
     locally {
       val sc = scen(nW = 120, dist = TcscGen.Poi)
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val (g, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, b, params, 4))
+      val groups = ConflictGraph.build(sc.instances).groups
+      val (_, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, b, params))
       val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params))
       cells += Cell("Fig9a2:scarce_workers", "W=120", "group", gMs)
       cells += Cell("Fig9a2:scarce_workers", "W=120", "task", tMs)
-      cells += Cell("Fig9a2:scarce_workers", "W=120", "largest_group", g.largestGroup.toDouble)
-      cells += Cell("Fig9a2:scarce_workers", "W=120", "groups", g.groups.toDouble)
+      cells += Cell("Fig9a2:scarce_workers", "W=120", "largest_group", groups.map(_.size).max.toDouble)
+      cells += Cell("Fig9a2:scarce_workers", "W=120", "groups", groups.size.toDouble)
     }
 
-    // (b) time vs distribution (group at 4 cores) -------------------------
+    // (b) time vs distribution ---------------------------------------------
     for (dist <- TcscGen.AllDists) {
       val sc = scen(dist = dist)
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val (g, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, b, params, 4))
+      val (_, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, b, params))
       val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params))
       cells += Cell("Fig9b:time_vs_dist", dist.name, "group", gMs)
-      cells += Cell("Fig9b:time_vs_dist", dist.name, "groups", g.groups.toDouble)
+      cells += Cell("Fig9b:time_vs_dist", dist.name, "groups",
+        ConflictGraph.build(sc.instances).groups.size.toDouble)
       cells += Cell("Fig9b:time_vs_dist", dist.name, "task", tMs)
     }
 
@@ -96,7 +97,7 @@ object T9MultiEfficiency {
     for (m <- Seq(40, 80, 120)) {
       val sc = scen(m = m)
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val (_, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, b, params, 4))
+      val (_, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, b, params))
       val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params))
       cells += Cell("Fig9e:time_vs_m", m.toString, "group", gMs)
       cells += Cell("Fig9e:time_vs_m", m.toString, "task", tMs)

@@ -51,7 +51,7 @@ class DegenerateInputSpec extends AnyFunSuite {
     "Rand" -> single(RandomBaseline.run(_, _, params, seed = 5)),
     "TaskParallel/1" -> taskParallel(1),
     "TaskParallel/3" -> taskParallel(3),
-    "GroupParallel" -> multiTask(GroupParallel.run(_, _, params, threads = 2).outcome),
+    "GroupParallel" -> multiTask(GroupParallel.run(_, _, params)),
     "basic" -> multiTask(SerialMulti.basic(_, _, params)),
     "MMQM" -> multiTask(SerialMulti.minQuality(_, _, params, indexed = true)),
     "MMQM naive" -> multiTask(SerialMulti.minQuality(_, _, params, indexed = false)),

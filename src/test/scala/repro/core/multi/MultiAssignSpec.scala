@@ -182,9 +182,9 @@ class MultiAssignSpec extends AnyFunSuite {
   test("group-level parallel: budget shares sum to the global budget") {
     val sc = scen(nT = 16)
     val b = TcscGen.budgetFor(sc.instances, 0.25)
-    val g = GroupParallel.run(sc.instances, b, params, threads = 3)
-    assert(g.outcome.totalCost <= b + 1e-9)
-    assert(g.groups >= 1 && g.largestGroup <= 16)
+    val g = GroupParallel.run(sc.instances, b, params)
+    assert(g.totalCost <= b + 1e-9)
+    assert(g.perTask.size == 16)
   }
 
   test("group-level parallel matches per-group serial runs") {
@@ -192,15 +192,14 @@ class MultiAssignSpec extends AnyFunSuite {
     val b = TcscGen.budgetFor(insts, 0.25)
     val graph = ConflictGraph.build(insts)
     assert(graph.groups == Vector.tabulate(3)(c => (c until 12 by 3).toVector))
-    val g = GroupParallel.run(insts, b, params, threads = 4)
-    assert(g.groups == 3 && g.largestGroup == 4)
-    assert(PlanCheck.check(insts, PlanCheck.Plan.of(insts, g.outcome, b), params.k) == Vector.empty)
+    val g = GroupParallel.run(insts, b, params)
+    assert(PlanCheck.check(insts, PlanCheck.Plan.of(insts, g, b), params.k) == Vector.empty)
     // Reproduce each group's run in isolation and compare per-task results.
     graph.groups.foreach { members =>
       val share = b * members.size / insts.size
       val (solo, _) = TaskParallel.run(members.map(insts(_)), share, params, 1)
       members.zip(solo.perTask).foreach { case (tid, r) =>
-        assert(g.outcome.perTask(tid).executedSlots == r.executedSlots,
+        assert(g.perTask(tid).executedSlots == r.executedSlots,
           s"task $tid differs")
       }
     }
@@ -210,9 +209,9 @@ class MultiAssignSpec extends AnyFunSuite {
     // T9 defaults: |T| = 40, m = 80, |W| = 800, uniform, seed 17, 25 % budget.
     val sc = TcscGen.scenario(40, 80, 800, TcscGen.Uniform, seed = 17)
     val b = TcscGen.budgetFor(sc.instances, 0.25)
-    val g = GroupParallel.run(sc.instances, b, params, threads = 4)
-    assert(g.outcome.executions.nonEmpty)
-    val problems = PlanCheck.check(sc.instances, PlanCheck.Plan.of(sc.instances, g.outcome, b), params.k)
+    val g = GroupParallel.run(sc.instances, b, params)
+    assert(g.executions.nonEmpty)
+    val problems = PlanCheck.check(sc.instances, PlanCheck.Plan.of(sc.instances, g, b), params.k)
     assert(problems == Vector.empty)
   }
 
@@ -288,9 +287,20 @@ class MultiAssignSpec extends AnyFunSuite {
     assert(!l.affordable(2, 0))
     assert(!new Ledger(insts, budget = 0.5).affordable(0, 0), "over the budget")
     assert(l.spent == 3.0 && l.commits == 2)
-    val out = l.outcome(insts.map(_ => AssignmentResult(Vector.empty, 0.0, 0.0)), evals = 0L)
+    val out = l.outcome(evals = 0L)((_, slots) => slots.size.toDouble)
     assert(out.executions == Vector(e0, Execution(1, 0, 11, 2.0)))
+    assert(out.perTask == Vector(AssignmentResult(Vector(0), 1.0, 1.0), AssignmentResult(Vector(0), 2.0, 1.0),
+      AssignmentResult(Vector.empty, 0.0, 0.0)), "per-task results read off the executions")
     assert(out.commits == 2 && out.conflicts == 2, "booking 11 also bumped task 2")
+  }
+
+  test("Ledger rejects two instances that share a task id") {
+    // Per-task results are read off the executions by task id, so two
+    // instances of one task would both be given the slots booked for either.
+    val inst = scen(nT = 1).instances.head
+    val twice = Vector(inst, inst.copy(task = inst.task.copy(x = 0.0)))
+    intercept[IllegalArgumentException](new Ledger(twice, budget = 10.0))
+    intercept[IllegalArgumentException](RandomBaseline.multi(twice, 10.0, params, seed = 5))
   }
 }
 

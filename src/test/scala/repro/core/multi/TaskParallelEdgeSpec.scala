@@ -64,9 +64,9 @@ class TaskParallelEdgeSpec extends AnyFunSuite {
   test("group-parallel with one thread works") {
     val sc = TcscGen.scenario(6, 15, 120, TcscGen.Uniform, 207)
     val b = TcscGen.budgetFor(sc.instances, 0.25)
-    val g = GroupParallel.run(sc.instances, b, params, threads = 1)
-    assert(g.outcome.totalCost <= b + 1e-9)
-    assert(g.outcome.perTask.size == 6)
+    val g = GroupParallel.run(sc.instances, b, params)
+    assert(g.totalCost <= b + 1e-9)
+    assert(g.perTask.size == 6)
   }
 
   test("MMQM with zero budget") {

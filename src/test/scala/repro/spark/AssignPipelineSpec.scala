@@ -46,7 +46,7 @@ class AssignPipelineSpec extends SparkSpec {
       .sortBy(e => (e.taskId, e.slot))
 
     val budget = TcscGen.budgetFor(sc.instances, 0.25)
-    val expected = GroupParallel.run(sc.instances, budget, params, threads = 2).outcome.executions
+    val expected = GroupParallel.run(sc.instances, budget, params).executions
       .sortBy(e => (e.taskId, e.slot))
     assert(sparkExecs == expected)
   }
@@ -63,7 +63,7 @@ class AssignPipelineSpec extends SparkSpec {
       assert(shape.shuffleWriteBytes == 0L, "shuffle-write bytes")
       val budget = TcscGen.budgetFor(scen.instances, 0.25)
       assert(execs.nonEmpty)
-      assert(execs == GroupParallel.run(scen.instances, budget, params, threads = 2).outcome.executions)
+      assert(execs == GroupParallel.run(scen.instances, budget, params).executions)
     }
   }
 
