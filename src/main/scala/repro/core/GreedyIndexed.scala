@@ -42,6 +42,7 @@ object GreedyIndexed {
     val g = new LazyGreedy(Vector(inst), params.k, budget, (_, j) => cost(j), refreshAll = false)
     val task = g.tasks.head
     val order = Vector.newBuilder[Int]
+    var spent = 0.0
 
     var iterations = 0
     var heuristicNanos = 0L
@@ -50,13 +51,14 @@ object GreedyIndexed {
     var done = false
     while (!done) {
       var t0 = System.nanoTime()
-      val e = g.next()
+      val e = g.next(spent)
       heuristicNanos += System.nanoTime() - t0
       if (e == null) done = true
       else {
         t0 = System.nanoTime()
-        g.commit(0, e.slot, cost(e.slot))
+        g.commit(0, e.slot)
         updateNanos += System.nanoTime() - t0
+        spent += cost(e.slot)
         order += e.slot
         iterations += 1
       }
@@ -64,7 +66,7 @@ object GreedyIndexed {
 
     val stats = GreedyStats(iterations, g.evals, task.st.slotsVisited,
       heuristicNanos, updateNanos, treeNanos = 0L)
-    val greedy = AssignmentResult(order.result(), g.spent, task.st.quality)
+    val greedy = AssignmentResult(order.result(), spent, task.st.quality)
     IndexedOutcome(Singletons.orBest(greedy, task.singles, cost, budget),
       stats, treeNodeCount = 0)
   }

@@ -1,13 +1,16 @@
 package repro.core
 
+import repro.core.multi.Ledger
+
 /** Execution statistics shared by the greedy variants (feeds Fig 8 tables).
   *
   * `candidateEvaluations` counts Δq computations; `slotsVisited` counts slot
   * touches inside those computations; `heuristicNanos` / `updateNanos` split
   * time between finding the max heuristic value and committing/updating the
-  * index, mirroring the paper's cost breakdown (Fig 8 (c)). `treeNanos` is
-  * 0 on both variants: neither builds a `QualityTree` (`QualityTree.replay`
-  * times one).
+  * index, mirroring the paper's cost breakdown (Fig 8 (c)); Approx counts
+  * its whole loop as heuristic time, as its commits are trivial next to its
+  * scans. `treeNanos` is 0 on both variants: neither builds a `QualityTree`
+  * (`QualityTree.replay` times one).
   */
 final case class GreedyStats(
     iterations: Int,
@@ -25,7 +28,12 @@ final case class GreedyOutcome(result: AssignmentResult, stats: GreedyStats)
   * Every iteration enumerates all remaining affordable subtasks and, for
   * each, recomputes the marginal quality gain with a full O(m) scan over
   * slots (k-NN via binary search on the sorted executed list), i.e. the
-  * paper's O(m³ log m) baseline. Ties break toward the smaller slot index.
+  * paper's O(m³ log m) baseline. Each iteration is one `Ledger.step` of a
+  * one-task ledger: its single task never loses a worker, so a slot costs
+  * its rank-0 candidate, and ties break toward the smaller slot index. The
+  * executed slots live in a plain `ExecutedSet`, not in a `QualityState`,
+  * so Approx stays an oracle independent of the incremental engine; its
+  * quality is recomputed from scratch (`Quality.quality`).
   *
   * Returns the better of the greedy set and the best affordable singleton
   * (Algorithm 1 lines 3/10), which yields the (1 - 1/√e) guarantee.
@@ -56,47 +64,21 @@ object GreedyNaive {
   def run(inst: TaskInstance, budget: Double, params: TcscParams): GreedyOutcome = {
     val m = inst.m
     val k = params.k
-    val cost = Array.tabulate(m)(inst.cost) // +inf where no worker exists
     val singles = Singletons.qualities(m, k)
-
+    val ledger = new Ledger(Vector(inst), budget)
     val s = new ExecutedSet(m)
-    val order = Vector.newBuilder[Int]
-    var spent = 0.0
-    var iterations = 0
     var evals = 0L
-    var visited = 0L
-    var heuristicNanos = 0L
-    var first = true
-
-    var continue = true
-    while (continue) {
-      val t0 = System.nanoTime()
-      var best = -1
-      var bestH = Double.NegativeInfinity
-      var t = 0
-      while (t < m) {
-        if (!s.contains(t) && spent + cost(t) <= budget) {
-          val dq = if (first) singles(t) else deltaQNaive(s, k, t)
-          evals += 1
-          visited += m
-          val h = LazyGreedy.ratio(dq, cost(t))
-          if (h > bestH) { bestH = h; best = t }
-        }
-        t += 1
-      }
-      heuristicNanos += System.nanoTime() - t0
-      if (best < 0) continue = false
-      else {
-        s.add(best)
-        order += best
-        spent += cost(best)
-        iterations += 1
-        first = false
-      }
+    val gain = { (_: Int, t: Int) =>
+      evals += 1
+      if (s.size == 0) singles(t) else deltaQNaive(s, k, t)
     }
 
-    val greedy = AssignmentResult(order.result(), spent, Quality.quality(s, k))
-    GreedyOutcome(Singletons.orBest(greedy, singles, cost, budget),
-      GreedyStats(iterations, evals, visited, heuristicNanos, 0L, 0L))
+    val t0 = System.nanoTime()
+    while (ledger.step(0, 1, gain)((_, t) => s.add(t))) ()
+    val heuristicNanos = System.nanoTime() - t0
+
+    val greedy = AssignmentResult(ledger.executions.map(_.slot), ledger.spent, Quality.quality(s, k))
+    GreedyOutcome(Singletons.orBest(greedy, singles, Array.tabulate(m)(inst.cost), budget),
+      GreedyStats(ledger.commits, evals, evals * m, heuristicNanos, 0L, 0L))
   }
 }

@@ -54,7 +54,9 @@ object TaskCtx {
   * Refreshes run inline on the calling thread: a Δq takes well under a
   * microsecond, far less than handing it to another thread.
   * `refreshed(task, h)` sees every re-evaluated value (the Heartbeat Table).
-  * `commit` must execute the candidate `next` just returned.
+  * The caller keeps the one record of the spend (Approx*'s sum, or the
+  * task-level run's `Ledger`) and passes it to `next`; `commit` must execute
+  * the candidate `next` just returned.
   */
 final class LazyGreedy(
     insts: IndexedSeq[TaskInstance],
@@ -67,7 +69,6 @@ final class LazyGreedy(
   import LazyGreedy._
 
   val tasks: IndexedSeq[TaskCtx] = TaskCtx.all(insts, k)
-  var spent = 0.0
   /** Δq evaluations made by refreshes. */
   var evals = 0L
 
@@ -93,38 +94,39 @@ final class LazyGreedy(
   }
   heapify()
 
-  /** The fresh maximum, or null when no affordable candidate is left. */
-  def next(): Entry = {
+  /** The fresh maximum affordable after spending `spent`, or null when no
+    * affordable candidate is left.
+    */
+  def next(spent: Double): Entry = {
     while (size > 0) {
       val id = heap(0)
       val task = taskOf(id)
       val slot = id - off(task)
       val c = cost(task, slot)
-      if (!affordable(c)) removeTop()
+      if (!affordable(spent, c)) removeTop()
       else if (fresh(id)) { removeTop(); return Entry(h(id), task, slot) }
-      else if (refreshAll) refreshStale()
+      else if (refreshAll) refreshStale(spent)
       else { refresh(id, c); siftDown(0) }
     }
     null
   }
 
-  /** Executes `slot` of `task` at cost `c`. Every candidate of the task whose
-    * Δq window can overlap the change is dirtied: the insert's
-    * [`dirtyLo`, `dirtyHi`] (`QualityState`, DESIGN.md §6).
+  /** Executes `slot` of `task`. Every candidate of the task whose Δq window
+    * can overlap the change is dirtied: the insert's [`dirtyLo`, `dirtyHi`]
+    * (`QualityState`, DESIGN.md §6).
     */
-  def commit(task: Int, slot: Int, c: Double): Unit = {
+  def commit(task: Int, slot: Int): Unit = {
     version += 1
     val st = tasks(task).st
     st.insert(slot)
     java.util.Arrays.fill(dirtyVer, off(task) + st.dirtyLo, off(task) + st.dirtyHi + 1, version)
-    spent += c
   }
 
   /** Marks (task, slot) stale as of the last commit: its cost rose. */
   def dirty(task: Int, slot: Int): Unit = dirtyVer(off(task) + slot) = version
 
   // Affordability is permanent once lost: spend and costs only grow.
-  private def affordable(c: Double): Boolean = spent + c <= budget
+  private def affordable(spent: Double, c: Double): Boolean = spent + c <= budget
 
   private def costOf(id: Int): Double = {
     val task = taskOf(id)
@@ -143,17 +145,17 @@ final class LazyGreedy(
     refreshed(task, v)
   }
 
-  /** Drops the unaffordable candidates, re-evaluates every stale one in id
-    * order (so the heartbeat does not depend on the heap's layout) and
-    * re-heapifies.
+  /** Drops the candidates unaffordable after `spent`, re-evaluates every
+    * stale one in id order (so the heartbeat does not depend on the heap's
+    * layout) and re-heapifies.
     */
-  private def refreshStale(): Unit = {
+  private def refreshStale(spent: Double): Unit = {
     var ns = 0
     var kept = 0
     var p = 0
     while (p < size) {
       val id = heap(p)
-      if (affordable(costOf(id))) {
+      if (affordable(spent, costOf(id))) {
         if (fresh(id)) { heap(kept) = id; kept += 1 }
         else { stale(ns) = id; ns += 1 }
       }

@@ -21,14 +21,14 @@ import scala.collection.mutable.ArrayBuffer
   *
   * A node's *influence range* is
   * `[max(0, l - kmax(l)), min(m-1, r + kmax(r))]`; an executed slot outside
-  * it cannot change any of the node's k-NN results, so `update(t)` skips
+  * it cannot change any of the node's k-NN results, so `insert(t)` skips
   * (Case 2) entire subtrees whose influence range excludes `t` and rebuilds
   * only the touched ones (Case 1), mirroring aggregated-tree maintenance.
   *
-  * Counters (`nodesBuilt`, `nodesVisited`, `nodesSkipped`) feed the index
-  * cost breakdown of the evaluation (Fig 8 (c)/(e)). No selection reads the
-  * tree, so Approx* does not maintain it: `QualityTree.replay` rebuilds it
-  * from a finished commit order.
+  * `nodesSkipped` counts the subtrees an insert skipped (Case 2). T8's
+  * index-cost figures (Fig 8 (c)/(e)) read `nodeCount` and the replay time.
+  * No selection reads the tree, so Approx* does not maintain it:
+  * `QualityTree.replay` rebuilds it from a finished commit order.
   */
 final class QualityTree(val m: Int, val k: Int, val ts: Int) {
 
@@ -51,8 +51,6 @@ final class QualityTree(val m: Int, val k: Int, val ts: Int) {
 
   private val exec = new ExecutedSet(m)
   var root: Node = null
-  var nodesBuilt: Long = 0
-  var nodesVisited: Long = 0
   var nodesSkipped: Long = 0
 
   def executedSet: ExecutedSet = exec
@@ -72,7 +70,6 @@ final class QualityTree(val m: Int, val k: Int, val ts: Int) {
     */
   private def build(l: Int, r: Int): Node = {
     val n = new Node(l, r)
-    nodesBuilt += 1
     n.knnL = exec.knn(l, k)
     n.knnR = exec.knn(r, k)
     val sameCell = n.knnL == n.knnR // Condition 1 (Lemma 8)
@@ -103,7 +100,6 @@ final class QualityTree(val m: Int, val k: Int, val ts: Int) {
   }
 
   private def refresh(n: Node, t: Int): Node = {
-    nodesVisited += 1
     val affected = t >= n.influenceLo && t <= n.influenceHi
     if (!affected) { nodesSkipped += 1; n }    // Case 2: subtree untouched
     else if (n.isLeaf) build(n.l, n.r)          // Case 1, leaf: re-derive (may split)

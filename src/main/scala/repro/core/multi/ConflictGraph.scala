@@ -16,16 +16,13 @@ import scala.collection.mutable
   */
 object ConflictGraph {
 
-  final case class Result(
-      groupOf: Array[Int],          // task index -> group id (0-based, dense)
-      groups: Vector[Vector[Int]],  // group id -> member task indexes, ascending
-  )
-
-  /** One pass over every slot's candidate list: each task is joined to the
-    * first task that listed the same (worker, slot). `firstAt` is a dense
-    * (slot, worker) table over the range of listed worker ids.
+  /** The conflict groups: each group's member task indexes, ascending, and
+    * the groups in order of their first member. One pass over every slot's
+    * candidate list joins each task to the first task that listed the same
+    * (worker, slot); `firstAt` is a dense (slot, worker) table over the
+    * range of listed worker ids.
     */
-  def build(instances: Seq[TaskInstance]): Result = {
+  def build(instances: Seq[TaskInstance]): Vector[Vector[Int]] = {
     val n = instances.size
     var minW = Int.MaxValue; var maxW = Int.MinValue
     for (inst <- instances; s <- inst.slots) {
@@ -48,7 +45,7 @@ object ConflictGraph {
     val groupOf = uf.dense()
     val members = Array.fill(groupOf.maxOption.fold(0)(_ + 1))(Vector.newBuilder[Int])
     for (i <- 0 until n) members(groupOf(i)) += i
-    Result(groupOf, members.iterator.map(_.result()).toVector)
+    members.iterator.map(_.result()).toVector
   }
 
   /** Connected components of `n` nodes under `edges`: node → dense

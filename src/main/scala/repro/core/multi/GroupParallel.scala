@@ -30,7 +30,7 @@ object GroupParallel {
 
   def run(instances: Seq[TaskInstance], budget: Double, params: TcscParams): MultiOutcome = {
     val inst = instances.toIndexedSeq
-    val groups = ConflictGraph.build(inst).groups
+    val groups = ConflictGraph.build(inst)
     val results = groups.map(planGroup(inst, _, budget, params))
 
     // Stitch per-group outputs back into task order.

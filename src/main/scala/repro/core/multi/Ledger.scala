@@ -12,10 +12,11 @@ import repro.core.{AssignmentResult, Execution, LazyGreedy, TaskInstance}
   * instances may share a task id: `outcome` reads each task's result off
   * the executions by id. Every multi-task path books through one ledger:
   * the lazy greedy (task-level, and per group for group-level and Spark),
-  * the eager baselines (basic, MMQM, SApprox), Rand and T11's exact OPT. A
-  * ledger is not thread-safe: each run uses its own from one thread, and
-  * the group-level framework and the Spark job give every conflict group
-  * its own run.
+  * the eager greedy paths (basic, MMQM, SApprox), Rand and T11's exact OPT;
+  * so does Approx, as a one-task ledger, whose single task never loses a
+  * worker. The eager paths take every step through `step`. A ledger is not
+  * thread-safe: each run uses its own from one thread, and the group-level
+  * framework and the Spark job give every conflict group its own run.
   */
 final class Ledger(insts: IndexedSeq[TaskInstance], budget: Double) {
   require(insts.map(_.task.id).distinct.size == insts.size,
@@ -49,7 +50,7 @@ final class Ledger(insts: IndexedSeq[TaskInstance], budget: Double) {
     * `LazyGreedy.ratio` of `gain` to its cost. Ties go to the lower task,
     * then the lower slot. Null when nothing is affordable.
     */
-  def best(from: Int, until: Int, gain: (Int, Int) => Double): LazyGreedy.Entry = {
+  private def best(from: Int, until: Int, gain: (Int, Int) => Double): LazyGreedy.Entry = {
     var bi = -1; var bj = -1; var bh = Double.NegativeInfinity
     var i = from
     while (i < until) {
@@ -69,15 +70,23 @@ final class Ledger(insts: IndexedSeq[TaskInstance], budget: Double) {
     if (bi < 0) null else LazyGreedy.Entry(bh, bi, bj)
   }
 
-  /** Books slot `j` of task `i` with its cheapest free worker. */
-  def book(i: Int, j: Int): Execution = book(i, j, freeRank(i, j), (_, _) => ())
-
-  /** Books slot `j` of task `i` with the candidate at `rank`, its cheapest
-    * free worker. Before the worker is taken, every other task that has not
-    * booked slot `j` and whose cheapest free worker there is the same one is
-    * a conflict: it is passed to `bumped` with the rank it loses, and counted.
+  /** One eager greedy step: books `best(from, until, gain)` and passes its
+    * (task, slot) to `commit`, the caller's state. False when nothing is
+    * affordable.
     */
-  def book(i: Int, j: Int, rank: Int, bumped: (Int, Int) => Unit): Execution = {
+  def step(from: Int, until: Int, gain: (Int, Int) => Double)(commit: (Int, Int) => Unit): Boolean = {
+    val e = best(from, until, gain)
+    if (e != null) { book(e.task, e.slot); commit(e.task, e.slot) }
+    e != null
+  }
+
+  /** Books slot `j` of task `i` with its cheapest free worker. Before the
+    * worker is taken, every other task that has not booked slot `j` and
+    * whose cheapest free worker there is the same one is a conflict: it is
+    * passed to `bumped` with the rank it loses, and counted.
+    */
+  def book(i: Int, j: Int, bumped: (Int, Int) => Unit = (_, _) => ()): Execution = {
+    val rank = freeRank(i, j)
     require(rank >= 0, s"slot $j of task $i has no free worker")
     val sc = insts(i).slots(j)
     val w = sc.workers(rank)

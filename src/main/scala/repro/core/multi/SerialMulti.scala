@@ -52,14 +52,8 @@ object SerialMulti {
     /** Books the best affordable candidate of tasks `from until until`;
       * false when there is none.
       */
-    def step(from: Int, until: Int, gain: (Int, Int) => Double): Boolean = {
-      val e = ledger.best(from, until, gain)
-      if (e != null) {
-        ledger.book(e.task, e.slot)
-        ctxs(e.task).st.insert(e.slot)
-      }
-      e != null
-    }
+    def step(from: Int, until: Int, gain: (Int, Int) => Double): Boolean =
+      ledger.step(from, until, gain)((i, j) => ctxs(i).st.insert(j))
 
     def result: MultiOutcome = ledger.outcome(evals)((i, _) => ctxs(i).st.quality)
   }

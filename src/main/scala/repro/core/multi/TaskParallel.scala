@@ -19,7 +19,9 @@ import repro.core._
   *    detected worker conflict: when a commit takes worker w, every other
   *    task whose cheapest free worker at that slot was w is bumped to its
   *    next-nearest candidate;
-  *  - **Logging Table** — the commit history (the Heartbeat trace).
+  *  - **Logging Table** — the commit history (the Heartbeat trace), each
+  *    record with the ledger's spend after it. The ledger is the run's one
+  *    record of the spend: the lazy greedy reads it at every `next`.
   *
   * Because q is monotone submodular and per-slot costs only grow as workers
   * are taken, cached heuristic values are upper bounds; the master commits
@@ -57,20 +59,19 @@ object TaskParallel {
 
     val g = new LazyGreedy(insts, params.k, budget, ledger.cost, refreshAll = !priority,
       (i, h) => heartbeat(i) = h)
-    var e = g.next()
+    var e = g.next(ledger.spent)
     while (e != null) {
       val i = e.task
       val j = e.slot
-      val rank = ledger.freeRank(i, j)
       // Commit first: a bump dirties a candidate as of this commit.
-      g.commit(i, j, insts(i).slots(j).costs(rank))
-      val ex = ledger.book(i, j, rank, { (other, lost) =>
+      g.commit(i, j)
+      val ex = ledger.book(i, j, { (other, lost) =>
         g.dirty(other, j) // cost bumped to the next-nearest worker
         conflictTable += ConflictRecord(Set(i, other), j, lost + 2) // 1-based next rank
       })
       heartbeat(i) = e.h
-      logTable += LogRecord(ledger.commits, i, j, ex.workerId, e.h, g.spent)
-      e = g.next()
+      logTable += LogRecord(ledger.commits, i, j, ex.workerId, e.h, ledger.spent)
+      e = g.next(ledger.spent)
     }
     val out = ledger.outcome(g.evals)((i, _) => g.tasks(i).st.quality)
     (out, Tables(heartbeat.toVector, conflictTable.result(), logTable.result()))

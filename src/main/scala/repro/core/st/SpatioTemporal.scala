@@ -162,12 +162,7 @@ object SpatioTemporal {
     val ledger = new Ledger(insts, budget)
     var evals = 0L
     val gain = (i: Int, j: Int) => { evals += 1; st.deltaQ(i, j) }
-    var e = ledger.best(0, insts.length, gain)
-    while (e != null) {
-      ledger.book(e.task, e.slot)
-      st.insert(e.task, e.slot)
-      e = ledger.best(0, insts.length, gain)
-    }
+    while (ledger.step(0, insts.length, gain)(st.insert)) ()
     (ledger.outcome(evals)((i, _) => st.qualityOfTask(i)), st)
   }
 

@@ -54,7 +54,7 @@ object T9MultiEfficiency {
     locally {
       val sc = scen(nW = 120, dist = TcscGen.Poi)
       val b = TcscGen.budgetFor(sc.instances, defFrac)
-      val groups = ConflictGraph.build(sc.instances).groups
+      val groups = ConflictGraph.build(sc.instances)
       val (_, gMs) = Harness.medianMs(GroupParallel.run(sc.instances, b, params))
       val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params))
       cells += Cell("Fig9a2:scarce_workers", "W=120", "group", gMs)
@@ -71,7 +71,7 @@ object T9MultiEfficiency {
       val (_, tMs) = Harness.medianMs(TaskParallel.run(sc.instances, b, params))
       cells += Cell("Fig9b:time_vs_dist", dist.name, "group", gMs)
       cells += Cell("Fig9b:time_vs_dist", dist.name, "groups",
-        ConflictGraph.build(sc.instances).groups.size.toDouble)
+        ConflictGraph.build(sc.instances).size.toDouble)
       cells += Cell("Fig9b:time_vs_dist", dist.name, "task", tMs)
     }
 

@@ -79,7 +79,7 @@ object AssignPipeline {
   def assign(spark: SparkSession, sc: TcscGen.Scenario, budgetFraction: Double,
              params: TcscParams): Dataset[Execution] = {
     import spark.implicits._
-    val groups = ConflictGraph.build(sc.instances).groups
+    val groups = ConflictGraph.build(sc.instances)
     val totalBudget = TcscGen.budgetFor(sc.instances, budgetFraction)
     val bInsts = spark.sparkContext.broadcast(sc.instances)
     spark.sparkContext.parallelize(groups, math.max(1, groups.size))

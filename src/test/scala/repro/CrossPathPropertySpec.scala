@@ -78,7 +78,7 @@ class CrossPathPropertySpec extends SparkSpec {
         val execs = AssignPipeline.assign(spark, s.sc, s.fraction, params).collect().toVector
         assert(execs == groups.executions, "Spark assign vs GroupParallel")
         covered += "spark"
-        if (ConflictGraph.build(insts).groups.size == 3) covered += "spark, 3 groups"
+        if (ConflictGraph.build(insts).size == 3) covered += "spark, 3 groups"
       }
       covered
     }
@@ -106,7 +106,7 @@ class CrossPathPropertySpec extends SparkSpec {
       assert(basic.executions == task.executions, "basic vs task")
       assert(off.executions == task.executions, "priority off vs on")
       assert(naive.executions == mmqm.executions, "MMQM naive vs indexed")
-      val groups = ConflictGraph.build(insts).groups
+      val groups = ConflictGraph.build(insts)
       for (members <- groups) {
         val (solo, _) = TaskParallel.run(members.map(insts(_)), b * members.size / insts.size, params, 1)
         members.zip(solo.perTask).foreach { case (tid, r) =>

@@ -1,17 +1,23 @@
 package repro
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{RandomBaseline, TcscParams}
+import repro.core.{AssignmentResult, GreedyIndexed, GreedyNaive, GreedyStats, RandomBaseline, TaskInstance, TcscParams}
 import repro.core.multi.{GroupParallel, MultiOutcome, SerialMulti, TaskParallel}
 import repro.core.st.SpatioTemporal
 import repro.data.TcscGen
 
 /** Pins the plans of every multi-task path on the T9 defaults (|T| = 40,
   * m = 80, |W| = 800, uniform, seed 17, 25 % budget) and on T11's default
-  * scenario (|T| = 15, m = 40, |W| = 400, uniform, seed 19, 25 % budget).
-  * A refactor that claims "same plans" must leave every value here as it
-  * is: the counters, the executions (count and a checksum of (task, slot,
-  * worker) in commit order) and the raw bits of q_sum and q_min.
+  * scenario (|T| = 15, m = 40, |W| = 400, uniform, seed 19, 25 % budget),
+  * and the single-task plans of Approx and Approx* on T6's instances (5
+  * tasks, m = 14, |W| = 300, uniform, seed 7) and T8's (2 tasks, m = 300,
+  * |W| = 1000, uniform, seed 13) at 12.5, 25 and 50 % of each task's full
+  * cost. A refactor that claims "same plans" must leave every value here as
+  * it is: the counters, the executions (count and a checksum of (task,
+  * slot, worker) in commit order) and the raw bits of q_sum and q_min; for
+  * a single task, the iterations, the Δq evaluations, a checksum of every
+  * slot order with the raw bits of each cost and quality, and the bits of
+  * the summed cost and quality.
   */
 class PlanDigestSpec extends AnyFunSuite {
   import PlanDigestSpec._
@@ -46,6 +52,20 @@ class PlanDigestSpec extends AnyFunSuite {
     }
     assert(bits(st.quality) == T11Scored("SApprox state"), "SApprox's running total")
   }
+
+  test("T6 and T8 instances: Approx and Approx* plan as pinned") {
+    for ((name, insts) <- Seq(
+           "T6" -> TcscGen.scenario(5, 14, 300, TcscGen.Uniform, seed = 7).instances,
+           "T8" -> TcscGen.scenario(2, 300, 1000, TcscGen.Uniform, seed = 13).instances);
+         frac <- Seq(0.125, 0.25, 0.5)) {
+      def single(run: (TaskInstance, Double) => (AssignmentResult, GreedyStats)) =
+        Single(insts.map(inst => run(inst, inst.fullCost * frac)))
+      val approx = single { (inst, b) => val o = GreedyNaive.run(inst, b, params); (o.result, o.stats) }
+      val star = single { (inst, b) => val o = GreedyIndexed.run(inst, b, params); (o.result, o.stats) }
+      assert(approx == Singles((name, frac, "Approx")), s"$name at $frac: Approx")
+      assert(star == Singles((name, frac, "Approx*")), s"$name at $frac: Approx*")
+    }
+  }
 }
 
 object PlanDigestSpec {
@@ -59,6 +79,21 @@ object PlanDigestSpec {
       Digest(out.commits, out.evals, out.conflicts, out.executions.size,
         out.executions.foldLeft(17L)((h, e) => ((h * 31 + e.taskId) * 31 + e.slot) * 31 + e.workerId),
         bits(out.qSum), bits(out.qMin))
+  }
+
+  /** Single-task runs, one per task in order, folded into one digest. */
+  final case class Single(iterations: Int, evals: Long, checksum: Long,
+                          costBits: Long, qualityBits: Long)
+
+  object Single {
+    def apply(runs: Seq[(AssignmentResult, GreedyStats)]): Single = {
+      val checksum = runs.foldLeft(17L) { case (h0, (r, _)) =>
+        val h = r.executedSlots.foldLeft(h0)((h, j) => h * 31 + j)
+        (h * 31 + bits(r.totalCost)) * 31 + bits(r.quality)
+      }
+      Single(runs.map(_._2.iterations).sum, runs.map(_._2.candidateEvaluations).sum, checksum,
+        bits(runs.map(_._1.totalCost).sum), bits(runs.map(_._1.quality).sum))
+    }
   }
 
   // A change that alters any plan here must say so and pin the new values.
@@ -81,5 +116,19 @@ object PlanDigestSpec {
     "Approx" -> 0x4052d1071e252e29L,
     "Rand" -> 0x405174f4a3c842eeL,
     "SApprox state" -> 0x4052f3e3b4472d86L,
+  )
+  val Singles: Map[(String, Double, String), Single] = Map(
+    ("T6", 0.125, "Approx") -> Single(16, 143L, -9019756662960642842L, 0x3fd31a2c4e8407e9L, 0x402ed66d9d50be18L),
+    ("T6", 0.125, "Approx*") -> Single(16, 46L, -9019756662960642842L, 0x3fd31a2c4e8407e9L, 0x402ed66d9d50be18L),
+    ("T6", 0.25, "Approx") -> Single(28, 294L, 4412577317961053044L, 0x3fe59a3ac6c7a2ecL, 0x4031864ccc12398cL),
+    ("T6", 0.25, "Approx*") -> Single(28, 136L, 4429508343667732565L, 0x3fe59a3ac6c7a2ecL, 0x4031864ccc12398cL),
+    ("T6", 0.5, "Approx") -> Single(44, 427L, 256148854311130748L, 0x3ff6573d41716162L, 0x40326aff5e6cb45aL),
+    ("T6", 0.5, "Approx*") -> Single(44, 210L, -8865412902844663173L, 0x3ff6573d41716162L, 0x40326aff5e6cb459L),
+    ("T8", 0.125, "Approx") -> Single(166, 42524L, 3427593892659680212L, 0x401b9d235db32356L, 0x4030590d2ac7f362L),
+    ("T8", 0.125, "Approx*") -> Single(166, 3110L, -6592588893607982850L, 0x401b9d235db32356L, 0x4030590d2ac7f35aL),
+    ("T8", 0.25, "Approx") -> Single(258, 60651L, -8304107370912033394L, 0x402bb7fadeccd0deL, 0x403066a097629632L),
+    ("T8", 0.25, "Approx*") -> Single(258, 3730L, -1584348700170373257L, 0x402bb7fadeccd0deL, 0x403066a097629627L),
+    ("T8", 0.5, "Approx") -> Single(414, 81354L, 6598042216982566035L, 0x403bb4a57a397d76L, 0x40306fa0019b43beL),
+    ("T8", 0.5, "Approx*") -> Single(414, 4234L, 8302128803914891789L, 0x403bb4a57a397d76L, 0x40306fa0019b439eL),
   )
 }

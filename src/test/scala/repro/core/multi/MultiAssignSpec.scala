@@ -137,15 +137,14 @@ class MultiAssignSpec extends AnyFunSuite {
 
   test("conflict graph: groups partition the tasks") {
     val sc = scen(nT = 20, nW = 200)
-    val g = ConflictGraph.build(sc.instances)
-    assert(g.groupOf.length == 20)
-    assert(g.groups.flatten.sorted == (0 until 20).toVector)
-    g.groups.zipWithIndex.foreach { case (members, id) =>
-      assert(members.forall(g.groupOf(_) == id))
-    }
+    val groups = ConflictGraph.build(sc.instances)
+    assert(groups.flatten.sorted == (0 until 20).toVector)
+    assert(groups.forall(members => members == members.sorted), "members ascending")
+    assert(groups.map(_.head) == groups.map(_.head).sorted, "groups in order of their first member")
+    val groupOf = groups.zipWithIndex.flatMap { case (members, id) => members.map(_ -> id) }.toMap
     // No (worker, slot) is listed by tasks of two groups.
     val listedBy = for (i <- sc.instances.indices; j <- 0 until sc.instances(i).m;
-                        w <- sc.instances(i).slots(j).workers) yield ((w, j), g.groupOf(i))
+                        w <- sc.instances(i).slots(j).workers) yield ((w, j), groupOf(i))
     listedBy.groupBy(_._1).foreach { case (key, gs) =>
       assert(gs.map(_._2).distinct.size == 1, s"$key listed by two groups")
     }
@@ -163,20 +162,20 @@ class MultiAssignSpec extends AnyFunSuite {
 
   test("conflict graph: far-apart tasks are independent") {
     // Disjoint candidate lists: no worker is listed by both tasks.
-    assert(ConflictGraph.build(listing(4, Seq(_ => Seq(0, 1), _ => Seq(2, 3)))).groups.size == 2)
+    assert(ConflictGraph.build(listing(4, Seq(_ => Seq(0, 1), _ => Seq(2, 3)))).size == 2)
     // One worker listed by both tasks, but never at the same slot.
     val g = ConflictGraph.build(listing(4,
       Seq(j => Seq(if (j == 0) 0 else 10 + j), j => Seq(if (j == 1) 0 else 20 + j))))
-    assert(g.groups == Vector(Vector(0), Vector(1)))
+    assert(g == Vector(Vector(0), Vector(1)))
   }
 
   test("conflict graph: tasks sharing their nearest worker conflict") {
     // Shared candidate lists: both tasks list worker 0 at every slot.
-    assert(ConflictGraph.build(listing(4, Seq(_ => Seq(0), _ => Seq(0)))).groups.size == 1)
+    assert(ConflictGraph.build(listing(4, Seq(_ => Seq(0), _ => Seq(0)))).size == 1)
     // Tasks 0 and 2 share nothing but are joined through task 1.
     val g = ConflictGraph.build(listing(3,
       Seq(j => Seq(j), j => Seq(j, 10 + j), j => Seq(10 + j), _ => Seq(99))))
-    assert(g.groups == Vector(Vector(0, 1, 2), Vector(3)))
+    assert(g == Vector(Vector(0, 1, 2), Vector(3)))
   }
 
   test("group-level parallel: budget shares sum to the global budget") {
@@ -190,12 +189,12 @@ class MultiAssignSpec extends AnyFunSuite {
   test("group-level parallel matches per-group serial runs") {
     val insts = MultiAssignSpec.blocked(scen(nT = 12, seed = 91), blocks = 3).instances
     val b = TcscGen.budgetFor(insts, 0.25)
-    val graph = ConflictGraph.build(insts)
-    assert(graph.groups == Vector.tabulate(3)(c => (c until 12 by 3).toVector))
+    val groups = ConflictGraph.build(insts)
+    assert(groups == Vector.tabulate(3)(c => (c until 12 by 3).toVector))
     val g = GroupParallel.run(insts, b, params)
     assert(PlanCheck.check(insts, PlanCheck.Plan.of(insts, g, b), params.k) == Vector.empty)
     // Reproduce each group's run in isolation and compare per-task results.
-    graph.groups.foreach { members =>
+    groups.foreach { members =>
       val share = b * members.size / insts.size
       val (solo, _) = TaskParallel.run(members.map(insts(_)), share, params, 1)
       members.zip(solo.perTask).foreach { case (tid, r) =>
@@ -278,7 +277,7 @@ class MultiAssignSpec extends AnyFunSuite {
     val l = new Ledger(insts, budget = 10.0)
     assert(l.cost(0, 0) == 1.0 && l.freeRank(0, 0) == 0)
     val bumps = Vector.newBuilder[(Int, Int)]
-    val e0 = l.book(0, 0, l.freeRank(0, 0), (o, r) => bumps += ((o, r)))
+    val e0 = l.book(0, 0, (o, r) => bumps += ((o, r)))
     assert(e0 == Execution(0, 0, 10, 1.0))
     assert(bumps.result() == Vector((1, 0)), "task 1 loses worker 10 at rank 0; task 2 never listed it")
     assert(l.cost(1, 0) == 2.0 && l.freeRank(1, 0) == 1)

@@ -55,7 +55,7 @@ class AssignPipelineSpec extends SparkSpec {
     val threeGroups = MultiAssignSpec.blocked(TcscGen.scenario(12, 30, 250, TcscGen.Uniform, 91), blocks = 3)
     val scenarios = Seq(("spec scenario", sc, 1), ("three groups", threeGroups, 3))
     for ((name, scen, groups) <- scenarios) withClue(s"$name: ") {
-      assert(ConflictGraph.build(scen.instances).groups.size == groups)
+      assert(ConflictGraph.build(scen.instances).size == groups)
       val (execs, shape) = jobShape(AssignPipeline.assign(spark, scen, 0.25, params).collect().toVector)
       assert(shape.jobs == 1, "jobs")
       assert(shape.stages == 1, "stages")
