@@ -35,9 +35,9 @@ object RunT11 {
 
 /** The Spark-native multi-task assignment pipeline (DESIGN.md §3): conflict
   * groups from the candidate lists (`ConflictGraph`), one group per
-  * partition running the lazy greedy, quality via `planQualities` (one
-  * shuffle-free `RDD.aggregate` of per-partition bitmaps, scored on the
-  * driver with the core metric). The plan, with those qualities
+  * partition running the lazy greedy, quality via `planQualities` (the
+  * collected plan's rows folded into bitmaps and scored on the driver with
+  * the core metric, no job). The plan, with those qualities
   * as the reported ones, must pass `PlanCheck`; any finding is printed and
   * the job exits with status 1.
   */

@@ -17,8 +17,8 @@ import repro.data.TcscGen
   * lazy greedy at one thread, so Spark partitions play the paper's
   * computation cores. One job of one stage, no shuffle. Instances travel to
   * executors via a broadcast of the deterministic scenario. `planQualities`
-  * scores a plan with the core's quality metric in one shuffle-free stage:
-  * a per-partition bitmap fold merged and scored on the driver.
+  * scores a plan with the core's quality metric on the driver: it collects
+  * the plan's rows (no job for a local plan) and folds them into bitmaps.
   */
 object AssignPipeline {
 
@@ -87,23 +87,22 @@ object AssignPipeline {
       .toDS()
   }
 
-  /** Quality of an executions plan, computed in Spark with the core's own
-    * metric: one `(task_id, q)` row per task of `sc.tasks`, in that order,
-    * q equal to `Quality.qualityOf` bit for bit. Every task must share one
-    * horizon m and have its own id. `executions` needs `int` columns
+  /** Quality of an executions plan under the core's own metric: one
+    * `(task_id, q)` row per task of `sc.tasks`, in that order, q equal to
+    * `Quality.qualityOf` bit for bit. Every task must share one horizon m
+    * and have its own id. `executions` needs `int` columns
     * `taskId` and `slot`; they are read by name, so other columns and their
     * order do not matter.
     *
-    * One job of one stage and no shuffle: `RDD.aggregate` folds each
-    * partition's `(taskId, slot)` rows into one bitmap of |T| × ⌈m/64⌉
-    * words, indexed by the task's position in `sc.tasks`, and the driver ORs
-    * the partitions' bitmaps, fills one `ExecutedSet` per task and scores it
-    * with `Quality.quality`. A slot executed twice counts once; a slot
-    * outside [0, m) fails the fold; executions of a task not in `sc.tasks`
-    * are not scored. The result is a local relation, so collecting it starts
-    * no job. A keyed or tree aggregate would shuffle the bitmaps, and Spark
-    * serialises a primitive-array shuffle with Kryo, which fails in a JVM
-    * without `--add-opens` (DESIGN.md §3).
+    * The driver collects the plan's physical rows and folds their
+    * `(taskId, slot)` pairs into one bitmap of |T| × ⌈m/64⌉ words, indexed
+    * by the task's position in `sc.tasks`, then fills one `ExecutedSet` per
+    * task and scores it with `Quality.quality`. A local plan (`Seq.toDF()`,
+    * a collected `assign`) is a `LocalTableScanExec`, whose rows are read
+    * without a job; any other plan costs the one job that collects it. A
+    * slot executed twice counts once; a null or a slot outside [0, m)
+    * fails; executions of a task not in `sc.tasks` are not scored. The
+    * result is a local relation, so collecting it starts no job.
     */
   def planQualities(spark: SparkSession, sc: TcscGen.Scenario,
                     executions: DataFrame, k: Int): DataFrame = {
@@ -121,19 +120,13 @@ object AssignPipeline {
     val (taskCol, slotCol) = (intColumn("taskId"), intColumn("slot"))
     val words = (m + 63) >>> 6
     val position = sc.tasks.iterator.map(_.id).zipWithIndex.toMap
-    val bits = executions.queryExecution.toRdd.aggregate(new Array[Long](sc.tasks.size * words))(
-      (acc, row) => {
-        require(!row.isNullAt(taskCol) && !row.isNullAt(slotCol), "planQualities reads no null taskId or slot")
-        val s = row.getInt(slotCol)
-        require(s >= 0 && s < m, s"slot $s out of [0, $m)")
-        position.get(row.getInt(taskCol)).foreach(p => acc(p * words + (s >>> 6)) |= 1L << s)
-        acc
-      },
-      (a, b) => {
-        var i = 0
-        while (i < a.length) { a(i) |= b(i); i += 1 }
-        a
-      })
+    val bits = new Array[Long](sc.tasks.size * words)
+    for (row <- executions.queryExecution.executedPlan.executeCollect()) {
+      require(!row.isNullAt(taskCol) && !row.isNullAt(slotCol), "planQualities reads no null taskId or slot")
+      val s = row.getInt(slotCol)
+      require(s >= 0 && s < m, s"slot $s out of [0, $m)")
+      position.get(row.getInt(taskCol)).foreach(p => bits(p * words + (s >>> 6)) |= 1L << s)
+    }
     val rows = sc.tasks.indices.map { p =>
       val es = new ExecutedSet(m)
       for (j <- 0 until m if (bits(p * words + (j >>> 6)) & (1L << j)) != 0L) es.add(j)

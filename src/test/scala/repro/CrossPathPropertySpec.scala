@@ -2,7 +2,7 @@ package repro
 
 import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.rng.Seed
-import repro.core.{DegenerateInputSpec, GreedyIndexed, GreedyNaive, RandomBaseline, TcscParams}
+import repro.core.{DegenerateInputSpec, GreedyIndexed, GreedyNaive, Quality, RandomBaseline, TcscParams}
 import repro.core.multi.{ConflictGraph, GroupParallel, MultiAssignSpec, MultiOutcome, SerialMulti, TaskParallel}
 import repro.core.st.SpatioTemporal
 import repro.data.TcscGen
@@ -15,17 +15,7 @@ import repro.spark.AssignPipeline
   * properties draw the same 40 cases from seed 1401.
   */
 class CrossPathPropertySpec extends SparkSpec {
-
-  final case class Case(nT: Int, m: Int, nW: Int, k: Int, maxRank: Int, dist: TcscGen.Dist,
-                       seed: Long, fraction: Double, costs: String, blocks: Int, onSpark: Boolean) {
-    lazy val sc: TcscGen.Scenario = {
-      val base = MultiAssignSpec.blocked(TcscGen.scenario(nT, m, nW, dist, seed, maxRank), blocks)
-      def cost(c: Double) = costs match { case "equal" => 0.5; case "zero" => 0.0; case _ => c }
-      base.copy(instances = base.instances.map(inst =>
-        inst.copy(slots = inst.slots.map(s => s.copy(costs = s.costs.map(cost))))))
-    }
-    def budget: Double = TcscGen.budgetFor(sc.instances, fraction)
-  }
+  import CrossPathPropertySpec.Case
 
   private val scenarios = for {
     nT <- Gen.choose(1, 8)
@@ -75,8 +65,15 @@ class CrossPathPropertySpec extends SparkSpec {
         val params = TcscParams(k = s.k)
         val groups = GroupParallel.run(insts, b, params)
         assert(PlanCheck.check(insts, PlanCheck.Plan.of(insts, groups, b), s.k) == Vector.empty)
-        val execs = AssignPipeline.assign(spark, s.sc, s.fraction, params).collect().toVector
+        val planned = AssignPipeline.assign(spark, s.sc, s.fraction, params)
+        val execs = planned.collect().toVector
         assert(execs == groups.executions, "Spark assign vs GroupParallel")
+        import spark.implicits._
+        val q = AssignPipeline.planQualities(spark, s.sc, planned.toDF(), s.k).as[(Int, Double)].collect().toMap
+        for (t <- s.sc.tasks)
+          assert(q(t.id) == Quality.qualityOf(t.m, execs.filter(_.taskId == t.id).map(_.slot), s.k),
+            s"planQualities of the Spark plan, task ${t.id}")
+        assert(PlanCheck.check(insts, PlanCheck.Plan(execs, q, b), s.k) == Vector.empty, "Spark plan, its q")
         covered += "spark"
         if (ConflictGraph.build(insts).size == 3) covered += "spark, 3 groups"
       }
@@ -129,5 +126,18 @@ class CrossPathPropertySpec extends SparkSpec {
       covered
     }
     assert(covered == Set("booked", "3 groups") ++ shapes, "cases the fixed seed covers")
+  }
+}
+
+object CrossPathPropertySpec {
+  final case class Case(nT: Int, m: Int, nW: Int, k: Int, maxRank: Int, dist: TcscGen.Dist,
+                       seed: Long, fraction: Double, costs: String, blocks: Int, onSpark: Boolean) {
+    lazy val sc: TcscGen.Scenario = {
+      val base = MultiAssignSpec.blocked(TcscGen.scenario(nT, m, nW, dist, seed, maxRank), blocks)
+      def cost(c: Double) = costs match { case "equal" => 0.5; case "zero" => 0.0; case _ => c }
+      base.copy(instances = base.instances.map(inst =>
+        inst.copy(slots = inst.slots.map(s => s.copy(costs = s.costs.map(cost))))))
+    }
+    def budget: Double = TcscGen.budgetFor(sc.instances, fraction)
   }
 }

@@ -89,8 +89,9 @@ class AssignPipelineSpec extends SparkSpec {
 
   test("Spark assignment at RunSparkAssign's sizes passes PlanCheck") {
     import spark.implicits._
-    // 40 tasks, m = 80, 800 workers, 25 % budget; on seed 6 groups from a
-    // 0.08-radius worker join book some (worker, slot) twice.
+    // 40 tasks, m = 80, 800 workers, 25 % budget; on seed 6 the groups of
+    // the 0.08-radius worker join that `assign` once used booked some
+    // (worker, slot) twice.
     val big = TcscGen.scenario(nTasks = 40, m = 80, nWorkers = 800, TcscGen.Uniform, seed = 6)
     val execs = AssignPipeline.assign(spark, big, 0.25, params).collect().toVector
     val q = AssignPipeline.planQualities(spark, big, execs.toDF(), params.k)
@@ -132,18 +133,21 @@ class AssignPipelineSpec extends SparkSpec {
     }
   }
 
-  test("planQualities runs one job of one stage with no shuffle") {
+  test("planQualities: no job local, one job distributed") {
     import spark.implicits._
     val (out, _) = TaskParallel.run(sc.instances, TcscGen.budgetFor(sc.instances, 0.25), params, 1)
-    val execs = out.executions.toDF()
-    val (scored, shape) = jobShape(AssignPipeline.planQualities(spark, sc, execs, params.k))
-    assert(shape.jobs == 1, "jobs")
-    assert(shape.stages == 1, "stages")
-    assert(shape.tasks == execs.rdd.getNumPartitions, "one task per partition of the plan")
-    assert(shape.shuffleWriteBytes == 0L, "shuffle-write bytes")
-    val (rows, collected) = jobShape(scored.as[(Int, Double)].collect())
+    def score(execs: DataFrame) = AssignPipeline.planQualities(spark, sc, execs, params.k)
+    val (local, localShape) = jobShape(score(out.executions.toDF()))
+    assert(localShape.jobs == 0, "a local plan starts no job")
+    val (spread, spreadShape) = jobShape(score(spark.sparkContext.parallelize(out.executions, 3).toDF()))
+    assert(spreadShape.jobs == 1, "jobs")
+    assert(spreadShape.stages == 1, "stages")
+    assert(spreadShape.tasks == 3, "one task per partition of the plan")
+    assert(spreadShape.shuffleWriteBytes == 0L, "shuffle-write bytes")
+    val (rows, collected) = jobShape(local.as[(Int, Double)].collect())
     assert(rows.length == sc.tasks.size)
     assert(collected.jobs == 0, "collecting the scored frame starts no job")
+    assert(spread.as[(Int, Double)].collect().toSeq == rows.toSeq, "both plans score the same q")
   }
 
   test("planQualities reads taskId and slot by name and rejects other types") {
