@@ -36,8 +36,8 @@ object RunT11 {
 /** The Spark-native multi-task assignment pipeline (DESIGN.md §3): conflict
   * groups from the candidate lists (`ConflictGraph`), one group per
   * partition running the lazy greedy, quality via `planQualities` (the
-  * collected plan's rows folded into bitmaps and scored on the driver with
-  * the core metric, no job). The plan, with those qualities
+  * collected plan's rows added to one executed set per task and scored on
+  * the driver with the core metric, no job). The plan, with those qualities
   * as the reported ones, must pass `PlanCheck`; any finding is printed and
   * the job exits with status 1.
   */

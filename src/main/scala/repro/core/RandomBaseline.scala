@@ -17,19 +17,13 @@ object RandomBaseline {
     val order = Vector.newBuilder[Int]
     var spent = 0.0
     var candidates = (0 until m).filter(j => cost(j) <= budget).toBuffer
-    var continue = candidates.nonEmpty
-    while (continue) {
-      val idx = rnd.nextInt(candidates.length)
-      val t = candidates(idx)
-      candidates.remove(idx)
-      if (spent + cost(t) <= budget) {
-        s.add(t)
-        order += t
-        spent += cost(t)
-      }
-      // Drop candidates that can no longer fit; stop when none remain.
+    while (candidates.nonEmpty) {
+      // Every candidate fits: those that no longer did were dropped below.
+      val t = candidates.remove(rnd.nextInt(candidates.length))
+      s.add(t)
+      order += t
+      spent += cost(t)
       candidates = candidates.filter(j => spent + cost(j) <= budget)
-      continue = candidates.nonEmpty
     }
     AssignmentResult(order.result(), spent, Quality.quality(s, params.k))
   }

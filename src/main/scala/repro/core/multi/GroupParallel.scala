@@ -37,7 +37,7 @@ object GroupParallel {
     val perTask = Array.fill(inst.size)(AssignmentResult(Vector.empty, 0.0, 0.0))
     for ((members, out) <- groups.zip(results))
       members.zip(out.perTask).foreach { case (tid, r) => perTask(tid) = r }
-    MultiOutcome.of(perTask.toVector, results.flatMap(_.executions),
+    MultiOutcome(perTask.toVector, results.flatMap(_.executions),
       results.map(_.commits).sum, results.map(_.evals).sum, results.map(_.conflicts).sum)
   }
 }

@@ -126,6 +126,6 @@ final class Ledger(insts: IndexedSeq[TaskInstance], budget: Double) {
       val slots = es.map(_.slot)
       AssignmentResult(slots, es.map(_.cost).sum, quality(i, slots))
     }
-    MultiOutcome.of(perTask.toVector, all, commitCount, evals, conflictCount)
+    MultiOutcome(perTask.toVector, all, commitCount, evals, conflictCount)
   }
 }

@@ -2,27 +2,19 @@ package repro.core.multi
 
 import repro.core._
 
-/** Outcome of a multi-task assignment run. */
+/** Outcome of a multi-task assignment run. The total cost, q_sum and q_min
+  * are read off `perTask`; q_min of no tasks is 0.
+  */
 final case class MultiOutcome(
     perTask: Vector[AssignmentResult],
     executions: Vector[Execution],
-    totalCost: Double,
-    qSum: Double,
-    qMin: Double,
     commits: Int,
     evals: Long,
     conflicts: Long,
-)
-
-object MultiOutcome {
-  /** The one way an outcome is built: cost, q_sum and q_min come from
-    * `perTask`; q_min of no tasks is 0.
-    */
-  def of(perTask: Vector[AssignmentResult], executions: Vector[Execution], commits: Int,
-         evals: Long, conflicts: Long): MultiOutcome =
-    MultiOutcome(perTask, executions, perTask.map(_.totalCost).sum, perTask.map(_.quality).sum,
-      if (perTask.isEmpty) 0.0 else perTask.map(_.quality).min,
-      commits, evals, conflicts)
+) {
+  val totalCost: Double = perTask.map(_.totalCost).sum
+  val qSum: Double = perTask.map(_.quality).sum
+  val qMin: Double = if (perTask.isEmpty) 0.0 else perTask.map(_.quality).min
 }
 
 /** Serial multi-task assignment (Section IV).

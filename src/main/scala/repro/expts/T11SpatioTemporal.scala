@@ -1,7 +1,6 @@
 package repro.expts
 
 import repro.core._
-import repro.core.multi.Ledger
 import repro.core.st.SpatioTemporal
 import repro.data.TcscGen
 import Harness.Cell
@@ -13,42 +12,12 @@ import Harness.Cell
   * w_s = 0 / w_t = 1) and Rand — all plans *scored* under the combined
   * metric so they are comparable;
   * (c) quality of SApprox across w_t; (opt) an exact-OPT comparison on a
-  * tiny instance (|T| = 2, m = 6), since OPT enumerates the joint solution
-  * space.
+  * tiny instance (|T| = 2, m = 6): `ExactOpt.best` enumerates the joint
+  * solution space and scores each subset under the combined metric.
   */
 object T11SpatioTemporal {
   val DefaultWs = 0.3
   val DefaultWt = 0.7
-
-  /** Exact OPT for the tiny ST instance: enumerate subsets of (task, slot)
-    * pairs; costs follow a fixed (task, slot)-ascending worker-claim order.
-    */
-  private def optSt(insts: IndexedSeq[TaskInstance], budget: Double, k: Int,
-                    ws: Double, wt: Double): Double = {
-    val pairs = (for (i <- insts.indices; j <- 0 until insts(i).m) yield (i, j)).toVector
-    require(pairs.size <= 16, "ST OPT limited to 16 subtask pairs")
-    var best = 0.0
-    var mask = 1
-    while (mask < (1 << pairs.size)) {
-      val ledger = new Ledger(insts, budget)
-      var ok = true
-      var b = 0
-      while (b < pairs.size && ok) {
-        if ((mask & (1 << b)) != 0) {
-          val (i, j) = pairs(b)
-          ok = ledger.affordable(i, j)
-          if (ok) ledger.book(i, j)
-        }
-        b += 1
-      }
-      if (ok) {
-        val q = SpatioTemporal.scoreUnder(insts.map(_.task), ledger.executions, k, ws, wt)
-        if (q > best) best = q
-      }
-      mask += 1
-    }
-    best
-  }
 
   def run(nTasks: Int = 15, m: Int = 40, nWorkers: Int = 400, seed: Long = 19,
           params: TcscParams = TcscParams()): Seq[Cell] = {
@@ -96,7 +65,8 @@ object T11SpatioTemporal {
       val tasks = insts.map(_.task)
       val (sRes, _) = SpatioTemporal.sApprox(insts, b, k, DefaultWs, DefaultWt)
       val (tRes, _) = SpatioTemporal.sApprox(insts, b, k, 0.0, 1.0)
-      cells += Cell("Fig11opt:tiny", "T=2,m=6", "OPT", optSt(insts, b, k, DefaultWs, DefaultWt))
+      cells += Cell("Fig11opt:tiny", "T=2,m=6", "OPT",
+        ExactOpt.best(insts, b)(SpatioTemporal.scoreUnder(tasks, _, k, DefaultWs, DefaultWt))._1)
       cells += Cell("Fig11opt:tiny", "T=2,m=6", "SApprox",
         SpatioTemporal.scoreUnder(tasks, sRes.executions, k, DefaultWs, DefaultWt))
       cells += Cell("Fig11opt:tiny", "T=2,m=6", "Approx",

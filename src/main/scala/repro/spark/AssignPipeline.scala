@@ -18,7 +18,7 @@ import repro.data.TcscGen
   * computation cores. One job of one stage, no shuffle. Instances travel to
   * executors via a broadcast of the deterministic scenario. `planQualities`
   * scores a plan with the core's quality metric on the driver: it collects
-  * the plan's rows (no job for a local plan) and folds them into bitmaps.
+  * the plan's rows (no job for a local plan) into one executed set per task.
   */
 object AssignPipeline {
 
@@ -89,26 +89,22 @@ object AssignPipeline {
 
   /** Quality of an executions plan under the core's own metric: one
     * `(task_id, q)` row per task of `sc.tasks`, in that order, q equal to
-    * `Quality.qualityOf` bit for bit. Every task must share one horizon m
-    * and have its own id. `executions` needs `int` columns
-    * `taskId` and `slot`; they are read by name, so other columns and their
-    * order do not matter.
+    * `Quality.qualityOf` at that task's own m, bit for bit. Every task must
+    * have its own id. `executions` needs `int` columns `taskId` and `slot`;
+    * they are read by name, so other columns and their order do not matter.
     *
-    * The driver collects the plan's physical rows and folds their
-    * `(taskId, slot)` pairs into one bitmap of |T| × ⌈m/64⌉ words, indexed
-    * by the task's position in `sc.tasks`, then fills one `ExecutedSet` per
-    * task and scores it with `Quality.quality`. A local plan (`Seq.toDF()`,
-    * a collected `assign`) is a `LocalTableScanExec`, whose rows are read
-    * without a job; any other plan costs the one job that collects it. A
-    * slot executed twice counts once; a null or a slot outside [0, m)
-    * fails; executions of a task not in `sc.tasks` are not scored. The
-    * result is a local relation, so collecting it starts no job.
+    * The driver collects the plan's physical rows and adds each slot to its
+    * task's `ExecutedSet`, then scores each set with `Quality.quality`. A
+    * local plan (`Seq.toDF()`, a collected `assign`) is a
+    * `LocalTableScanExec`, whose rows are read without a job; any other plan
+    * costs the one job that collects it. A slot executed twice counts once;
+    * a null or a slot outside [0, m) of a listed task fails. Executions of a
+    * task not in `sc.tasks` are skipped after the null check: no horizon is
+    * known for them, so their slots are not range-checked. The result is a
+    * local relation, so collecting it starts no job.
     */
   def planQualities(spark: SparkSession, sc: TcscGen.Scenario,
                     executions: DataFrame, k: Int): DataFrame = {
-    val m = sc.tasks.headOption.fold(1)(_.m) // no rows to score when empty
-    require(sc.tasks.forall(_.m == m),
-      s"planQualities scores one horizon; tasks have m in ${sc.tasks.map(_.m).distinct.sorted.mkString(", ")}")
     require(sc.tasks.map(_.id).distinct.size == sc.tasks.size,
       "planQualities scores each task once; sc.tasks lists a task id twice")
     def intColumn(name: String): Int = {
@@ -118,20 +114,12 @@ object AssignPipeline {
       i
     }
     val (taskCol, slotCol) = (intColumn("taskId"), intColumn("slot"))
-    val words = (m + 63) >>> 6
-    val position = sc.tasks.iterator.map(_.id).zipWithIndex.toMap
-    val bits = new Array[Long](sc.tasks.size * words)
+    val executed = sc.tasks.iterator.map(t => t.id -> new ExecutedSet(t.m)).toMap
     for (row <- executions.queryExecution.executedPlan.executeCollect()) {
       require(!row.isNullAt(taskCol) && !row.isNullAt(slotCol), "planQualities reads no null taskId or slot")
-      val s = row.getInt(slotCol)
-      require(s >= 0 && s < m, s"slot $s out of [0, $m)")
-      position.get(row.getInt(taskCol)).foreach(p => bits(p * words + (s >>> 6)) |= 1L << s)
+      executed.get(row.getInt(taskCol)).foreach(_.add(row.getInt(slotCol)))
     }
-    val rows = sc.tasks.indices.map { p =>
-      val es = new ExecutedSet(m)
-      for (j <- 0 until m if (bits(p * words + (j >>> 6)) & (1L << j)) != 0L) es.add(j)
-      Row(sc.tasks(p).id, Quality.quality(es, k))
-    }
+    val rows = sc.tasks.map(t => Row(t.id, Quality.quality(executed(t.id), k)))
     spark.createDataFrame(rows.asJava,
       StructType(Seq(StructField("task_id", IntegerType, nullable = false),
         StructField("q", DoubleType, nullable = false))))

@@ -1,7 +1,7 @@
 package repro
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{AssignmentResult, GreedyIndexed, GreedyNaive, GreedyStats, RandomBaseline, TaskInstance, TcscParams}
+import repro.core.{AssignmentResult, ExactOpt, GreedyIndexed, GreedyNaive, GreedyStats, RandomBaseline, TaskInstance, TcscParams}
 import repro.core.multi.{GroupParallel, MultiOutcome, SerialMulti, TaskParallel}
 import repro.core.st.SpatioTemporal
 import repro.data.TcscGen
@@ -12,10 +12,12 @@ import repro.data.TcscGen
   * and the single-task plans of Approx and Approx* on T6's instances (5
   * tasks, m = 14, |W| = 300, uniform, seed 7) and T8's (2 tasks, m = 300,
   * |W| = 1000, uniform, seed 13) at 12.5, 25 and 50 % of each task's full
-  * cost. A refactor that claims "same plans" must leave every value here as
-  * it is: the counters, the executions (count and a checksum of (task,
-  * slot, worker) in commit order) and the raw bits of q_sum and q_min; for
-  * a single task, the iterations, the Δq evaluations, a checksum of every
+  * cost, with OPT and Rand's 20-seed mean on T6's, and OPT on T11's tiny
+  * instance (|T| = 2, m = 6, |W| = 60, uniform, seed 19, 25 % budget). A
+  * refactor that claims "same plans" must leave every value here as it is:
+  * the counters, the executions (count and a checksum of (task, slot,
+  * worker) in commit order) and the raw bits of q_sum and q_min; for a
+  * single task, the iterations, the Δq evaluations, a checksum of every
   * slot order with the raw bits of each cost and quality, and the bits of
   * the summed cost and quality.
   */
@@ -66,6 +68,25 @@ class PlanDigestSpec extends AnyFunSuite {
       assert(star == Singles((name, frac, "Approx*")), s"$name at $frac: Approx*")
     }
   }
+
+  test("T6 instances: OPT plans and Rand's mean quality as pinned") {
+    val insts = TcscGen.scenario(5, 14, 300, TcscGen.Uniform, seed = 7).instances
+    for (frac <- Seq(0.125, 0.25, 0.5)) {
+      val opt = Plans(insts.map(inst => ExactOpt.run(inst, inst.fullCost * frac, params)))
+      assert(opt == T6Opt(frac), s"OPT at $frac")
+      val rand = insts.map(inst => RandomBaseline.meanQuality(inst, inst.fullCost * frac, params))
+      assert((rand.foldLeft(17L)((h, q) => h * 31 + bits(q)), bits(rand.sum)) == T6RandMean(frac),
+        s"Rand at $frac")
+    }
+  }
+
+  test("T11 tiny instance: OPT scores as pinned") {
+    val insts = TcscGen.scenario(2, 6, 60, TcscGen.Uniform, seed = 19).instances
+    val tasks = insts.map(_.task)
+    val (q, _) = ExactOpt.best(insts, TcscGen.budgetFor(insts, 0.25))(
+      SpatioTemporal.scoreUnder(tasks, _, params.k, 0.3, 0.7))
+    assert(bits(q) == 0x400c95feaee7ee32L)
+  }
 }
 
 object PlanDigestSpec {
@@ -81,18 +102,31 @@ object PlanDigestSpec {
         bits(out.qSum), bits(out.qMin))
   }
 
+  /** Single-task plans, one per task in order: a checksum of each slot
+    * order with the raw bits of its cost and quality, and the bits of the
+    * summed cost and quality.
+    */
+  final case class Plans(checksum: Long, costBits: Long, qualityBits: Long)
+
+  object Plans {
+    def apply(runs: Seq[AssignmentResult]): Plans = {
+      val checksum = runs.foldLeft(17L) { (h0, r) =>
+        val h = r.executedSlots.foldLeft(h0)((h, j) => h * 31 + j)
+        (h * 31 + bits(r.totalCost)) * 31 + bits(r.quality)
+      }
+      Plans(checksum, bits(runs.map(_.totalCost).sum), bits(runs.map(_.quality).sum))
+    }
+  }
+
   /** Single-task runs, one per task in order, folded into one digest. */
   final case class Single(iterations: Int, evals: Long, checksum: Long,
                           costBits: Long, qualityBits: Long)
 
   object Single {
     def apply(runs: Seq[(AssignmentResult, GreedyStats)]): Single = {
-      val checksum = runs.foldLeft(17L) { case (h0, (r, _)) =>
-        val h = r.executedSlots.foldLeft(h0)((h, j) => h * 31 + j)
-        (h * 31 + bits(r.totalCost)) * 31 + bits(r.quality)
-      }
-      Single(runs.map(_._2.iterations).sum, runs.map(_._2.candidateEvaluations).sum, checksum,
-        bits(runs.map(_._1.totalCost).sum), bits(runs.map(_._1.quality).sum))
+      val p = Plans(runs.map(_._1))
+      Single(runs.map(_._2.iterations).sum, runs.map(_._2.candidateEvaluations).sum,
+        p.checksum, p.costBits, p.qualityBits)
     }
   }
 
@@ -130,5 +164,18 @@ object PlanDigestSpec {
     ("T8", 0.25, "Approx*") -> Single(258, 3730L, -1584348700170373257L, 0x402bb7fadeccd0deL, 0x403066a097629627L),
     ("T8", 0.5, "Approx") -> Single(414, 81354L, 6598042216982566035L, 0x403bb4a57a397d76L, 0x40306fa0019b43beL),
     ("T8", 0.5, "Approx*") -> Single(414, 4234L, 8302128803914891789L, 0x403bb4a57a397d76L, 0x40306fa0019b439eL),
+  )
+  val T6Opt: Map[Double, Plans] = Map(
+    0.125 -> Plans(-7464425845277219228L, 0x3fd64ad2a1cf76e7L, 0x402eeffa6803a48eL),
+    0.25 -> Plans(-2560764296025061436L, 0x3fe6a6d303f4f384L, 0x40318db1e8a4ab87L),
+    0.5 -> Plans(7283262455718716470L, 0x3ff79d88d9770509L, 0x4032799af45dab42L),
+  )
+  /** `RandomBaseline.meanQuality` on T6's instances: a checksum of each
+    * task's bits and the bits of their sum.
+    */
+  val T6RandMean: Map[Double, (Long, Long)] = Map(
+    0.125 -> (4859903488909769345L, 0x402a0a2b279a4aaeL),
+    0.25 -> (5656075984564903307L, 0x402fce60de87d76eL),
+    0.5 -> (784481733373079443L, 0x4031e3cb0a276e96L),
   )
 }

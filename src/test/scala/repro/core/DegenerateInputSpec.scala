@@ -109,6 +109,20 @@ class DegenerateInputSpec extends AnyFunSuite {
     }
   }
 
+  test("multi-task OPT passes PlanCheck on T11's tiny instance and on all-conflicting tasks") {
+    val tiny = scenario(2, 6, 60, 19)
+    val cases = Seq(0.125, 0.25, 0.5).map(f => (s"T11 tiny at $f", tiny, TcscGen.budgetFor(tiny, f))) :+
+      (("all-conflicting tasks", allConflicting, 10.0))
+    for ((name, insts, b) <- cases) withClue(s"$name: ") {
+      val tasks = insts.map(_.task)
+      val (q, execs) = ExactOpt.best(insts, b)(SpatioTemporal.scoreUnder(tasks, _, params.k, 0.3, 0.7))
+      val reported = insts.map(i =>
+        i.task.id -> Quality.qualityOf(i.m, execs.filter(_.taskId == i.task.id).map(_.slot), params.k)).toMap
+      assert(execs.nonEmpty && q == SpatioTemporal.scoreUnder(tasks, execs, params.k, 0.3, 0.7))
+      assert(PlanCheck.check(insts, PlanCheck.Plan(execs, reported, b), params.k) == Vector.empty)
+    }
+  }
+
   for ((name, insts, budget, expectEmpty) <- inputs) test(name) {
     for ((path, run) <- paths; r <- run(insts, budget)) withClue(s"$path: ") {
       assert(PlanCheck.check(r.instances, r.plan, params.k, r.rankZero) == Vector.empty)

@@ -188,6 +188,11 @@ class GreedySpec extends AnyFunSuite {
     intercept[IllegalArgumentException] {
       ExactOpt.run(uniformInst(25, 1), 1.0, params)
     }
+    // The cap counts (task, slot) pairs over all tasks: 3 tasks of m = 7 are 21.
+    val err = intercept[IllegalArgumentException] {
+      ExactOpt.best(TcscGen.scenario(3, 7, 60, TcscGen.Uniform, seed = 19).instances, 1.0)(_ => 0.0)
+    }
+    assert(err.getMessage.contains("got 21"))
   }
 
   test("greedy quality grows with budget") {

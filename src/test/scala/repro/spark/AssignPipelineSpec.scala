@@ -108,15 +108,20 @@ class AssignPipelineSpec extends SparkSpec {
     assert(q.collect().isEmpty)
   }
 
-  test("planQualities rejects tasks with different horizons") {
+  test("planQualities scores tasks of different horizons") {
     import spark.implicits._
     val tasks = Vector(Task(0, 0.2, 0.2, 20), Task(1, 0.7, 0.7, 30))
     val mixed = TcscGen.Scenario(tasks, Vector.empty, Vector.empty)
-    val execs = Seq(Execution(1, 25, 0, 1.0)).toDF()
+    val slots = Map(0 -> Seq(19, 3, 11), 1 -> Seq(25, 0, 29, 12))
+    // Task 7 is not listed: its row is skipped, slot 99 included.
+    val execs = (slots.toSeq.flatMap { case (t, ss) => ss.map(Execution(t, _, 0, 1.0)) } :+
+      Execution(7, 99, 0, 1.0)).toDF()
+    val q = AssignPipeline.planQualities(spark, mixed, execs, params.k).as[(Int, Double)].collect()
+    assert(q.toSeq == tasks.map(t => t.id -> Quality.qualityOf(t.m, slots(t.id), params.k)))
     val err = intercept[IllegalArgumentException] {
-      AssignPipeline.planQualities(spark, mixed, execs, params.k)
+      AssignPipeline.planQualities(spark, mixed, Seq(Execution(0, 25, 0, 1.0)).toDF(), params.k)
     }
-    assert(err.getMessage.contains("20, 30"))
+    assert(err.getMessage.contains("slot 25 out of [0, 20)"))
   }
 
   test("planQualities fails on an executed slot outside [0, m)") {
