@@ -12,39 +12,43 @@ object ExactOpt {
   val MaxPairs = 20
 
   /** The best `score` over every subset of the (task, slot) pairs of
-    * `insts`, with that subset's executions. Each subset is booked through
-    * a fresh `Ledger` in (task, slot)-ascending order and dropped once a
-    * pair is unaffordable. A pair's cost therefore follows that one fixed
-    * claim order over shared workers, so with several tasks the result is
-    * not an upper bound on a greedy plan (SApprox may claim in a cheaper
-    * order). Ties go to the subset enumerated first, the empty one first.
+    * `insts`, with that subset's executions. Each subset is booked in
+    * (task, slot)-ascending order and dropped once a pair is unaffordable.
+    * A pair's cost therefore follows that one fixed claim order over shared
+    * workers, so with several tasks the result is not an upper bound on a
+    * greedy plan (SApprox may claim in a cheaper order). Ties go to the
+    * smallest mask (bit b for the b-th pair), the empty subset first.
+    *
+    * The subsets are walked depth first over the pairs in that order on one
+    * `Ledger`: a branch books its pair, and `unbook` undoes it on the way
+    * back, so each prefix is booked once and an unaffordable pair prunes
+    * every subset that extends its prefix.
     */
   def best(insts: IndexedSeq[TaskInstance], budget: Double)(
       score: Vector[Execution] => Double): (Double, Vector[Execution]) = {
     val pairs = for (i <- insts.indices; j <- 0 until insts(i).m) yield (i, j)
     require(pairs.size <= MaxPairs, s"ExactOpt limited to $MaxPairs (task, slot) pairs (got ${pairs.size})")
+    val ledger = new Ledger(insts, budget)
     var bestScore = Double.NegativeInfinity
+    var bestMask = -1
     var bestExecs = Vector.empty[Execution]
-    var mask = 0
-    while (mask < (1 << pairs.size)) {
-      val ledger = new Ledger(insts, budget)
-      var ok = true
-      var b = 0
-      while (b < pairs.size && ok) {
-        if ((mask & (1 << b)) != 0) {
-          val (i, j) = pairs(b)
-          ok = ledger.affordable(i, j)
-          if (ok) ledger.book(i, j)
-        }
-        b += 1
-      }
-      if (ok) {
+    def visit(b: Int, mask: Int): Unit =
+      if (b == pairs.size) {
         val es = ledger.executions
         val q = score(es)
-        if (q > bestScore) { bestScore = q; bestExecs = es }
+        if (q > bestScore || (bestMask >= 0 && q == bestScore && mask < bestMask)) {
+          bestScore = q; bestMask = mask; bestExecs = es
+        }
+      } else {
+        visit(b + 1, mask)
+        val (i, j) = pairs(b)
+        if (ledger.affordable(i, j)) {
+          ledger.book(i, j)
+          visit(b + 1, mask | 1 << b)
+          ledger.unbook()
+        }
       }
-      mask += 1
-    }
+    visit(0, 0)
     (bestScore, bestExecs)
   }
 

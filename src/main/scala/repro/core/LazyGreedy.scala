@@ -72,9 +72,7 @@ final class LazyGreedy(
   /** Δq evaluations made by refreshes. */
   var evals = 0L
 
-  private val off = tasks.iterator.map(_.inst.m.toLong).scanLeft(0L)(_ + _).map { o =>
-    require(o < Int.MaxValue, s"$o candidates overflow an Int id"); o.toInt
-  }.toArray
+  private val off = offsets(insts)
   private val n = off(tasks.length)
   private val taskOf = new Array[Int](n)
   private val h = new Array[Double](n)     // h of the last evaluation
@@ -216,6 +214,14 @@ object LazyGreedy {
     * zero cost counted as 1e-12.
     */
   def ratio(dq: Double, cost: Double): Double = dq / math.max(cost, Eps)
+
+  /** Candidate ids: (task i, slot j) is `off(i) + j`, so id order is
+    * (task, slot) order, and `off(insts.length)` is the number of ids.
+    */
+  private[core] def offsets(insts: IndexedSeq[TaskInstance]): Array[Int] =
+    insts.iterator.map(_.m.toLong).scanLeft(0L)(_ + _).map { o =>
+      require(o < Int.MaxValue, s"$o candidates overflow an Int id"); o.toInt
+    }.toArray
 
   /** Heuristic `h` of (task, slot): the fresh maximum `next` returns. */
   final case class Entry(h: Double, task: Int, slot: Int)

@@ -19,25 +19,18 @@ object ConflictGraph {
   /** The conflict groups: each group's member task indexes, ascending, and
     * the groups in order of their first member. One pass over every slot's
     * candidate list joins each task to the first task that listed the same
-    * (worker, slot); `firstAt` is a dense (slot, worker) table over the
-    * range of listed worker ids.
+    * (worker, slot); `firstAt` is a table over `SlotWorkerKeys`.
     */
   def build(instances: Seq[TaskInstance]): Vector[Vector[Int]] = {
     val n = instances.size
-    var minW = Int.MaxValue; var maxW = Int.MinValue
-    for (inst <- instances; s <- inst.slots) {
-      val ws = s.workers
-      var r = 0
-      while (r < ws.length) { minW = math.min(minW, ws(r)); maxW = math.max(maxW, ws(r)); r += 1 }
-    }
-    val stride = if (maxW < minW) 0 else maxW - minW + 1
-    val firstAt = Array.fill(Math.multiplyExact(instances.map(_.m).maxOption.getOrElse(0), stride))(-1)
+    val keys = new SlotWorkerKeys(instances)
+    val firstAt = Array.fill(keys.size)(-1)
     val uf = new UnionFind(n)
     for ((inst, i) <- instances.iterator.zipWithIndex; j <- 0 until inst.m) {
       val ws = inst.slots(j).workers
       var r = 0
       while (r < ws.length) {
-        val key = j * stride + ws(r) - minW
+        val key = keys(j, ws(r))
         if (firstAt(key) < 0) firstAt(key) = i else uf.union(firstAt(key), i)
         r += 1
       }
@@ -74,4 +67,24 @@ object ConflictGraph {
       Array.tabulate(n)(i => id.getOrElseUpdate(find(i), id.size))
     }
   }
+}
+
+/** The dense (slot, worker) keys of `instances`' candidate lists:
+  * `apply(j, w)` is `j * stride + w - minW`, where [minW, minW + stride) is
+  * the range of listed worker ids, and `size` covers every slot of the
+  * longest horizon. `ConflictGraph.build`'s `firstAt` and the `Ledger`'s
+  * Conflicting Table and occupancy are tables over these keys.
+  */
+private[multi] final class SlotWorkerKeys(instances: Seq[TaskInstance]) {
+  private var minW = Int.MaxValue
+  private var maxW = Int.MinValue
+  for (inst <- instances; s <- inst.slots) {
+    val ws = s.workers
+    var r = 0
+    while (r < ws.length) { minW = math.min(minW, ws(r)); maxW = math.max(maxW, ws(r)); r += 1 }
+  }
+  private val stride = if (maxW < minW) 0 else Math.addExact(Math.subtractExact(maxW, minW), 1)
+  val size: Int = Math.multiplyExact(instances.map(_.m).maxOption.getOrElse(0), stride)
+
+  def apply(slot: Int, worker: Int): Int = slot * stride + worker - minW
 }

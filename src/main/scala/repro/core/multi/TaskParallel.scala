@@ -18,7 +18,9 @@ import repro.core._
   *  - **Conflicting Table** — one record ⟨task set, slot, next NN rank⟩ per
   *    detected worker conflict: when a commit takes worker w, every other
   *    task whose cheapest free worker at that slot was w is bumped to its
-  *    next-nearest candidate;
+  *    next-nearest candidate. Its lookup side is the ledger's index: the
+  *    commit visits only the tasks that list (slot, w), in ascending task
+  *    order, so the records come in the order of a scan over all tasks;
   *  - **Logging Table** — the commit history (the Heartbeat trace), each
   *    record with the ledger's spend after it. The ledger is the run's one
   *    record of the spend: the lazy greedy reads it at every `next`.

@@ -2,12 +2,13 @@ package repro.core.multi
 
 import repro.core.SlotCandidates
 
-/** Global (worker, slot) occupancy — a worker serves at most one subtask per
+/** A (worker, slot) occupancy set — a worker serves at most one subtask per
   * time slot, which is what creates cross-task conflicts (Section IV-A).
   *
-  * Each run owns one pool inside its `Ledger` and touches it from one
-  * thread; each conflict group of the group-level framework and the Spark
-  * job runs its own ledger.
+  * No plan books through it: `Ledger` keeps occupancy, ranks and costs in
+  * its own arrays. It is kept only for the standalone benchmark, whose
+  * `Replay.pool` times its calls (`BenchSurfaceSpec` pins that surface);
+  * delete it once the benchmark stops calling it.
   */
 final class WorkerPool {
   private val taken = new java.util.HashSet[Long]()
