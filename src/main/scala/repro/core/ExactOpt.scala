@@ -36,7 +36,7 @@ object ExactOpt {
       if (b == pairs.size) {
         val es = ledger.executions
         val q = score(es)
-        if (q > bestScore || (bestMask >= 0 && q == bestScore && mask < bestMask)) {
+        if (q > bestScore || (q == bestScore && mask < bestMask)) {
           bestScore = q; bestMask = mask; bestExecs = es
         }
       } else {

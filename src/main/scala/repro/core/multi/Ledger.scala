@@ -122,11 +122,11 @@ final class Ledger(insts: IndexedSeq[TaskInstance], budget: Double) {
   }
 
   /** Books slot `j` of task `i`, which must not be booked yet, with its
-    * cheapest free worker. Before the worker is taken, every other task
-    * that has not booked slot `j` and whose cheapest free worker there is
-    * the same one is a conflict: it is passed to `bumped` with the rank it
-    * loses, in ascending task order, and counted. Only the tasks on the
-    * taken (slot, worker)'s chain are visited.
+    * cheapest free worker. Every other task that has not booked slot `j`
+    * and whose cheapest free worker there was the same one is a conflict:
+    * it is passed to `bumped` with the rank it loses, in ascending task
+    * order, and counted. One walk of the taken (slot, worker)'s chain finds
+    * those tasks and moves every rank that pointed at the worker.
     */
   def book(i: Int, j: Int, bumped: (Int, Int) => Unit = (_, _) => ()): Execution = {
     val id = off(i) + j
@@ -136,22 +136,19 @@ final class Ledger(insts: IndexedSeq[TaskInstance], budget: Double) {
     val sc = insts(i).slots(j)
     val key = keys(j, sc.workers(r))
     val conflictsBefore = conflictCount
+    taken(key) = true
     var e = head(key)
     while (e >= 0) {
       val o = entryTask(e)
       val c = off(o) + j
-      if (o != i && !booked(c) && rank(c) == e - entryOff(c)) {
-        conflictCount += 1
-        bumped(o, rank(c))
+      val lost = e - entryOff(c)
+      if (rank(c) == lost) {
+        if (o != i && !booked(c)) {
+          conflictCount += 1
+          bumped(o, lost)
+        }
+        advance(c, insts(o).slots(j), j)
       }
-      e = next(e)
-    }
-    taken(key) = true
-    e = head(key)
-    while (e >= 0) {
-      val o = entryTask(e)
-      val c = off(o) + j
-      if (rank(c) == e - entryOff(c)) advance(c, insts(o).slots(j), j)
       e = next(e)
     }
     val ex = Execution(insts(i).task.id, j, sc.workers(r), sc.costs(r))
