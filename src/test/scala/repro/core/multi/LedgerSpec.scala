@@ -71,8 +71,8 @@ class LedgerSpec extends AnyFunSuite {
   }
 
   test("Ledger rejects booking a slot that is already booked") {
-    // Before the check, the second booking took worker 11 for the same
-    // subtask: one subtask, two executions.
+    // Without the check, the second booking would take worker 11 for the
+    // same subtask: one subtask, two executions.
     val inst = TaskInstance(Task(0, 0.5, 0.5, 1), Array(SlotCandidates(Array(10, 11), Array(1.0, 2.0))))
     val l = new Ledger(Vector(inst), budget = 10.0)
     val e = l.book(0, 0)
